@@ -74,7 +74,7 @@ fn library_once(request: &CampaignRequest) -> f64 {
 
 /// Best-of-`reps` wall time: each repetition is bit-identical work, so the
 /// fastest one is the least-perturbed measurement (same de-noiser as
-/// `batch_throughput`).
+/// `worker_scaling`).
 fn best_secs(reps: usize, mut run: impl FnMut() -> f64) -> f64 {
     (0..reps).map(|_| run()).fold(f64::MAX, f64::min)
 }

@@ -1,38 +1,32 @@
-//! Batched lockstep mission throughput: `MissionBatch` versus per-mission
-//! sequential execution on campaign-shaped work, plus the worker-pool
-//! scaling curve for AAD-protected missions.
+//! Campaign-shaped mission throughput: one worker flying protected fault
+//! triples back to back, plus the worker-pool scaling curve for
+//! AAD-protected missions.  Records to the bench log (`BENCH_10.json` by
+//! default):
 //!
-//! The workload mirrors what `CampaignExecutor::run_campaign` feeds each
-//! worker job: consecutive fault triples — the same `(environment, seed)`
-//! mission flown injected/Gaussian/autoencoder — so batches share depth
-//! capture culls within a triple and score every autoencoder observation in
-//! one matrix-matrix pass per stage.  Records to the bench log
-//! (`BENCH_9.json` by default):
-//!
-//! * `sequential_protected_ticks_per_sec` — the 8-mission workload flown
-//!   one mission at a time through `MissionRunner` (the pre-batching
-//!   campaign inner loop);
-//! * `batch_ticks_per_sec_b{1,8,32,128}` — the same-shaped workload flown
-//!   as one lockstep `MissionBatch` of that size (`b8` covers the exact
-//!   mission list of the sequential baseline); the 32- and 128-mission
-//!   lists also get matched same-list `sequential_ticks_per_sec_b{32,128}`
-//!   baselines, since they reach into slower seeds than the 8-mission list;
+//! * `sequential_protected_ticks_per_sec` — eight campaign-shaped missions
+//!   (consecutive fault triples: the same `(environment, seed)` mission
+//!   flown injected/Gaussian/autoencoder, exactly what one
+//!   `CampaignExecutor` pool job flies per fault) flown one at a time
+//!   through `MissionRunner`;
 //! * `protected_ticks_per_sec_{1,2,4,8}w` — eight AAD-protected missions
-//!   fanned out over a `WorkerPool` of that size (flat on a single-core
-//!   host, which is itself worth recording).
+//!   fanned out over a `WorkerPool` of that size.  The curve flattens at
+//!   the host's core count; `nproc` is printed next to it.
 
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mavfi::exec::{BatchMission, MissionBatch, TrainedDetectorCache, WorkerPool};
+use mavfi::exec::{TrainedDetectorCache, WorkerPool};
 use mavfi::prelude::*;
 
 fn quick_training() -> TrainingSpec {
     // Trained well enough that false-positive recomputations do not dominate
     // the tick cost (an under-trained bank turns every mission into a replan
-    // benchmark and hides the capture/scoring effects this bench measures).
+    // benchmark).
     TrainingSpec { missions: 2, base_seed: 640, mission_time_budget: 30.0, epochs: 10 }
 }
+
+/// One campaign-shaped mission: its spec, planned fault and protection.
+type ShapedMission = (MissionSpec, FaultSpec, Protection);
 
 /// The first `count` missions of an endless campaign-shaped job list:
 /// triple `t` flies `(Sparse, seed 91 + t)` three times — injected,
@@ -40,7 +34,7 @@ fn quick_training() -> TrainingSpec {
 /// `t % 3` at a trigger tick spread across `TriggerWindow::default()`'s
 /// [10, 400) range the way `CampaignPlan` samples it (deterministically
 /// here, so the workload is stable run to run).
-fn campaign_shaped(count: usize) -> Vec<BatchMission> {
+fn campaign_shaped(count: usize) -> Vec<ShapedMission> {
     (0..count)
         .map(|index| {
             let triple = (index / 3) as u64;
@@ -49,9 +43,7 @@ fn campaign_shaped(count: usize) -> Vec<BatchMission> {
             let stage = Stage::ALL[(triple % 3) as usize];
             let trigger = 10 + (triple * 97) % 390;
             let fault = FaultSpec::new(InjectionTarget::Stage(stage), trigger, 7 + triple);
-            let protection =
-                [Protection::None, Protection::Gaussian, Protection::Autoencoder][index % 3];
-            BatchMission { spec, fault: Some(fault), protection }
+            (spec, fault, Protection::ALL[index % 3])
         })
         .collect()
 }
@@ -63,32 +55,20 @@ fn trained() -> TrainedDetectors {
 
 /// Flies `missions` one at a time through `MissionRunner` and returns
 /// (elapsed seconds, total ticks).
-fn fly_sequential(missions: &[BatchMission], detectors: &TrainedDetectors) -> (f64, u64) {
+fn fly_sequential(missions: &[ShapedMission], detectors: &TrainedDetectors) -> (f64, u64) {
     let begin = Instant::now();
     let mut ticks = 0;
-    for mission in missions {
-        let outcome = MissionRunner::new(mission.spec)
-            .run(mission.fault, mission.protection, Some(detectors))
+    for (spec, fault, protection) in missions {
+        let outcome = MissionRunner::new(*spec)
+            .run(Some(*fault), *protection, Some(detectors))
             .expect("detectors are trained");
         ticks += outcome.pipeline.ticks;
     }
     (begin.elapsed().as_secs_f64(), ticks)
 }
 
-/// Flies `missions` as one lockstep batch and returns (elapsed seconds,
-/// total ticks).
-fn fly_batched(missions: &[BatchMission], detectors: &TrainedDetectors) -> (f64, u64) {
-    let begin = Instant::now();
-    let outcomes = MissionBatch::new(missions, Some(detectors))
-        .expect("detectors are trained")
-        .run_to_completion();
-    let ticks = outcomes.iter().map(|outcome| outcome.pipeline.ticks).sum();
-    (begin.elapsed().as_secs_f64(), ticks)
-}
-
-/// Best-of-`reps` throughput in ticks/s.  The 1-core bench host drifts
-/// ±10 % run to run, so a single sample cannot resolve the batched vs
-/// sequential gap; the max over a few repetitions is the usual wall-clock
+/// Best-of-`reps` throughput in ticks/s.  The bench host drifts ±10 % run
+/// to run; the max over a few repetitions is the usual wall-clock
 /// de-noiser (each repetition is bit-identical work, so the fastest one is
 /// the least-perturbed measurement of the same computation).
 fn best_throughput(reps: usize, mut flight: impl FnMut() -> (f64, u64)) -> f64 {
@@ -104,46 +84,23 @@ fn measure(detectors: &TrainedDetectors) {
     let note = mavfi_bench::bench_log::note_or("campaign-shaped Sparse triples, 25 s budget");
     const REPS: usize = 3;
 
-    // Warm-up: plans, caches, page-in (and the one-off batch scratch
-    // growth), outside every timed window.
-    let _ = fly_batched(&campaign_shaped(3), detectors);
+    // Warm-up: plans, caches, page-in, outside every timed window.
+    let _ = fly_sequential(&campaign_shaped(3), detectors);
 
     let baseline = campaign_shaped(8);
     mavfi_bench::bench_log::record(
-        "batch_throughput",
+        "worker_scaling",
         "sequential_protected_ticks_per_sec",
         best_throughput(REPS, || fly_sequential(&baseline, detectors)),
         "ticks/s",
         &note,
     );
 
-    for batch in [1_usize, 8, 32, 128] {
-        let missions = campaign_shaped(batch);
-        mavfi_bench::bench_log::record(
-            "batch_throughput",
-            &format!("batch_ticks_per_sec_b{batch}"),
-            best_throughput(REPS, || fly_batched(&missions, detectors)),
-            "ticks/s",
-            &note,
-        );
-        // The 32/128-mission lists reach into slower seeds than the
-        // 8-mission baseline, so give each its own same-list sequential
-        // baseline — otherwise the population shift reads as a batching
-        // regression.
-        if batch > 8 {
-            mavfi_bench::bench_log::record(
-                "batch_throughput",
-                &format!("sequential_ticks_per_sec_b{batch}"),
-                best_throughput(REPS, || fly_sequential(&missions, detectors)),
-                "ticks/s",
-                &note,
-            );
-        }
-    }
-
     // Worker-pool scaling: eight autoencoder-protected missions fanned out
     // over 1/2/4/8 workers (ticks identical per worker count; only the wall
-    // clock moves — and on a single-core host it barely does).
+    // clock moves, and only up to the host's core count).
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    println!("worker_scaling: nproc = {cores}");
     let specs: Vec<MissionSpec> = (0..8)
         .map(|index| MissionSpec::new(EnvironmentKind::Sparse, 191 + index).with_time_budget(25.0))
         .collect();
@@ -164,7 +121,7 @@ fn measure(detectors: &TrainedDetectors) {
         .expect("detectors are trained");
         let secs = begin.elapsed().as_secs_f64();
         mavfi_bench::bench_log::record(
-            "batch_throughput",
+            "worker_scaling",
             &format!("protected_ticks_per_sec_{workers}w"),
             ticks as f64 / secs.max(1e-9),
             "ticks/s",
@@ -181,12 +138,9 @@ fn bench(c: &mut Criterion) {
     if std::env::var("MAVFI_BENCH_QUICK").is_ok() {
         return;
     }
-    let mut group = c.benchmark_group("batch_throughput");
+    let mut group = c.benchmark_group("worker_scaling");
     group.sample_size(2);
     let missions = campaign_shaped(8);
-    group.bench_function("batched_8", |b| {
-        b.iter(|| std::hint::black_box(fly_batched(&missions, &detectors).1))
-    });
     group.bench_function("sequential_8", |b| {
         b.iter(|| std::hint::black_box(fly_sequential(&missions, &detectors).1))
     });

@@ -27,7 +27,7 @@ const HEADLINES: &[(&str, &str)] = &[
     ("table2_overhead", "protected_ticks_per_sec"),
     ("detector_micro", "aad_score_scratch"),
     ("replay_micro", "replay_ticks_per_sec"),
-    ("batch_throughput", "batch_ticks_per_sec_b8"),
+    ("worker_scaling", "sequential_protected_ticks_per_sec"),
 ];
 
 /// One log's latest value and unit per `(bench, metric)`, in first-seen

@@ -3,12 +3,12 @@
 //!
 //! [`CampaignExecutor`] builds the complete run list of a campaign — golden
 //! runs plus every planned per-stage injection — and shards it across a
-//! [`WorkerPool`].  Each run's seed is derived from `(base_seed, run_index)`
-//! exactly as in the sequential path, and [`MissionOutcome`]s stream through
-//! the pool's order-restoring aggregator, so the assembled
-//! [`EnvironmentCampaign`] is byte-identical to sequential execution for any
-//! worker count while bulky per-run artifacts (sampled trails) are dropped
-//! as soon as their statistics are folded in.
+//! [`WorkerPool`], one campaign job per pool job.  Each run's seed is
+//! derived from `(base_seed, run_index)`, and [`MissionOutcome`]s stream
+//! through the pool's order-restoring aggregator, so the assembled
+//! [`EnvironmentCampaign`] is byte-identical for any worker count while
+//! bulky per-run artifacts (sampled trails) are dropped as soon as their
+//! statistics are folded in.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -23,9 +23,8 @@ use serde::{Deserialize, Serialize};
 use crate::campaign::{CampaignConfig, EnvironmentCampaign, SettingResult};
 use crate::config::{MissionSpec, Protection, TrainingSpec};
 use crate::error::MavfiError;
-use crate::exec::batch::{BatchMission, MissionBatch};
 use crate::exec::cache::TrainedDetectorCache;
-use crate::exec::pool::WorkerPool;
+use crate::exec::pool::{PoolStats, WorkerPool};
 use crate::qof::{QofMetrics, QofSummary};
 use crate::runner::{MissionOutcome, MissionRunner, TrainedDetectors};
 
@@ -156,8 +155,8 @@ pub(crate) enum JobOutcome {
 /// sum matches the sequential loop bit for bit.
 ///
 /// The state is deliberately *extractable*: it is plain data (serde-
-/// serialisable, no handles into the pool or detectors), campaign chunks
-/// fold into it strictly in chunk order, and chunks are independent — so
+/// serialisable, no handles into the pool or detectors), campaign jobs
+/// fold into it strictly in run order, and jobs are independent — so
 /// folding chunks `[0, k)` into a fresh state, persisting it, and later
 /// folding chunks `[k, n)` into the restored state yields exactly the bytes
 /// of an uninterrupted `[0, n)` fold.  That property is what the campaign
@@ -281,15 +280,14 @@ fn accumulate_recomputations(outcome: &MissionOutcome, totals: &mut [(Stage, u64
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CampaignExecutor {
     pool: WorkerPool,
-    /// Campaign jobs per lockstep [`MissionBatch`] worker job; `0` means
-    /// "auto" (`MAVFI_BATCH`, falling back to
-    /// [`CampaignExecutor::DEFAULT_BATCH`]).
+    /// Campaign jobs per checkpoint chunk; `0` means
+    /// [`CampaignExecutor::DEFAULT_BATCH`].
     batch: usize,
 }
 
 impl CampaignExecutor {
-    /// Campaign jobs per batched worker job when neither
-    /// [`CampaignExecutor::with_batch_size`] nor `MAVFI_BATCH` pins one.
+    /// Campaign jobs per checkpoint chunk unless
+    /// [`CampaignExecutor::with_batch_size`] pins another size.
     pub const DEFAULT_BATCH: usize = 8;
 
     /// Creates an executor with a fixed worker count; `0` means "auto"
@@ -312,25 +310,23 @@ impl CampaignExecutor {
         Self { pool, batch: 0 }
     }
 
-    /// Pins the number of campaign jobs flown per lockstep batch; `0`
-    /// restores "auto" (`MAVFI_BATCH`, falling back to
-    /// [`CampaignExecutor::DEFAULT_BATCH`]).  Campaign results are
-    /// bit-identical for every batch size.
+    /// Pins the number of campaign jobs per checkpoint chunk (the unit of
+    /// [`run_campaign_chunks`](Self::run_campaign_chunks) ranges); `0`
+    /// restores [`CampaignExecutor::DEFAULT_BATCH`].  Chunks only mark
+    /// checkpoint and progress boundaries: campaign results are
+    /// bit-identical for every chunk size.
     pub fn with_batch_size(mut self, batch: usize) -> Self {
         self.batch = batch;
         self
     }
 
-    /// The resolved number of campaign jobs per lockstep batch.
+    /// The resolved number of campaign jobs per checkpoint chunk.
     pub fn batch_size(&self) -> usize {
-        if self.batch != 0 {
-            return self.batch;
+        if self.batch == 0 {
+            Self::DEFAULT_BATCH
+        } else {
+            self.batch
         }
-        std::env::var("MAVFI_BATCH")
-            .ok()
-            .and_then(|raw| raw.trim().parse::<usize>().ok())
-            .filter(|&batch| batch > 0)
-            .unwrap_or(Self::DEFAULT_BATCH)
     }
 
     /// The underlying worker pool.
@@ -371,15 +367,11 @@ impl CampaignExecutor {
     }
 
     /// Runs the golden, injection and both D&R settings of one
-    /// environment's campaign as a single sharded run list.
-    ///
-    /// Each worker job is a lockstep [`MissionBatch`] of
-    /// [`batch_size`](Self::batch_size) consecutive campaign jobs (a fault
-    /// job contributes its injected/Gaussian/autoencoder triple to the same
-    /// batch), stepped tick-by-tick together with one matrix-matrix
-    /// detector pass per stage.  The assembled campaign is bit-identical to
-    /// [`run_campaign_sequential`](Self::run_campaign_sequential) for every
-    /// batch size and worker count.
+    /// environment's campaign as a single sharded run list: every campaign
+    /// job (a golden run, or a fault's injected/Gaussian/autoencoder
+    /// triple) is one pool job flown through [`MissionRunner`], and the
+    /// outcomes fold in run order, so the assembled campaign is
+    /// bit-identical for every worker count.
     ///
     /// # Errors
     ///
@@ -397,20 +389,22 @@ impl CampaignExecutor {
         Ok(state.finish(config))
     }
 
-    /// Number of lockstep batches (worker jobs) the campaign's run list
-    /// splits into at this executor's [`batch_size`](Self::batch_size) —
-    /// the unit of [`run_campaign_chunks`](Self::run_campaign_chunks)
-    /// ranges and of the campaign server's checkpoint stride.
+    /// Number of checkpoint chunks the campaign's run list splits into at
+    /// this executor's [`batch_size`](Self::batch_size) — the unit of
+    /// [`run_campaign_chunks`](Self::run_campaign_chunks) ranges and of the
+    /// campaign server's checkpoint stride.
     pub fn campaign_chunk_count(&self, config: &CampaignConfig) -> usize {
         let jobs = config.golden_runs + config.injections_per_stage * Stage::ALL.len();
-        jobs.div_ceil(self.batch_size().max(1))
+        jobs.div_ceil(self.batch_size())
     }
 
-    /// Runs the chunks `chunk_range` (clamped to the campaign's chunk
-    /// count) of the campaign's batched run list, folding their outcomes
-    /// into `state` in chunk order.
+    /// Runs the campaign jobs of the chunks `chunk_range` (clamped to the
+    /// campaign's chunk count), folding their outcomes into `state` in run
+    /// order.  Chunk `c` covers jobs `[c·B, min((c+1)·B, jobs))` for
+    /// `B =` [`batch_size`](Self::batch_size); the jobs of the whole range
+    /// fan out across the pool individually.
     ///
-    /// Chunks are independent and the fold is strictly ordered, so running
+    /// Jobs are independent and the fold is strictly ordered, so running
     /// `0..k` into a fresh state and then `k..n` into that same state —
     /// even across a process restart, with the state serialised in between
     /// — produces exactly the bytes of one uninterrupted `0..n` pass.
@@ -430,93 +424,7 @@ impl CampaignExecutor {
         chunk_range: Range<usize>,
         state: &mut CampaignFoldState,
     ) -> Result<(), MavfiError> {
-        let detectors = scheme.detectors();
-        let jobs = Self::campaign_jobs(config);
-        let chunks: Vec<&[CampaignJob]> = jobs.chunks(self.batch_size().max(1)).collect();
-        let end = chunk_range.end.min(chunks.len());
-        let start = chunk_range.start.min(end);
-        self.pool.try_fold_ordered(
-            &chunks[start..end],
-            |_, chunk| Self::run_chunk(config, detectors.as_ref(), chunk),
-            state,
-            |state, _, outcomes| {
-                for outcome in outcomes {
-                    state.fold(outcome);
-                }
-            },
-        )
-    }
-
-    /// Flies one chunk of consecutive campaign jobs as a single lockstep
-    /// [`MissionBatch`] and maps the batch outcomes back onto the jobs.
-    fn run_chunk(
-        config: &CampaignConfig,
-        detectors: &TrainedDetectors,
-        chunk: &[CampaignJob],
-    ) -> Result<Vec<JobOutcome>, MavfiError> {
-        let mut missions = Vec::new();
-        for job in chunk {
-            match job {
-                CampaignJob::Golden(index) => {
-                    missions.push(BatchMission::golden(Self::mission_spec(config, *index)))
-                }
-                CampaignJob::Fault(index, fault) => {
-                    let spec = Self::mission_spec(config, *index as u64);
-                    missions.extend(Protection::ALL.map(|protection| BatchMission {
-                        spec,
-                        fault: Some(*fault),
-                        protection,
-                    }));
-                }
-            }
-        }
-        let outcomes = MissionBatch::new(&missions, Some(detectors))?.run_to_completion();
-        let mut outcomes = outcomes.into_iter();
-        let mut next = || outcomes.next().expect("one outcome per batched mission");
-        Ok(chunk
-            .iter()
-            .map(|job| match job {
-                CampaignJob::Golden(_) => {
-                    let outcome = next();
-                    JobOutcome::Golden {
-                        qof: outcome.qof,
-                        ticks: outcome.pipeline.ticks,
-                        compute_ms: outcome.pipeline.total_compute_ms(),
-                        reports: Vec::new(),
-                    }
-                }
-                CampaignJob::Fault(..) => {
-                    let injected = next();
-                    let gaussian = next();
-                    let autoencoder = next();
-                    JobOutcome::Fault(
-                        Box::new(FaultSettingOutcomes {
-                            injected: injected.qof,
-                            gaussian,
-                            autoencoder,
-                        }),
-                        Vec::new(),
-                    )
-                }
-            })
-            .collect())
-    }
-
-    /// [`run_campaign`](Self::run_campaign) through the original
-    /// one-mission-at-a-time path: every worker job flies a single campaign
-    /// job sequentially through [`MissionRunner`].  The verification
-    /// baseline for the batched engine — results are bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runner errors exactly like
-    /// [`run_campaign`](Self::run_campaign).
-    pub fn run_campaign_sequential(
-        &self,
-        config: &CampaignConfig,
-        scheme: &SchemeConfig,
-    ) -> Result<EnvironmentCampaign, MavfiError> {
-        Ok(self.run_campaign_impl(config, scheme, false)?.0)
+        self.fold_chunks(config, scheme, chunk_range, state, None).map(|_| ())
     }
 
     /// [`run_campaign`](Self::run_campaign) with mission telemetry: every
@@ -540,109 +448,94 @@ impl CampaignExecutor {
         config: &CampaignConfig,
         scheme: &SchemeConfig,
     ) -> Result<(EnvironmentCampaign, TelemetryReport), MavfiError> {
-        let (campaign, report) = self.run_campaign_impl(config, scheme, true)?;
-        Ok((campaign, report.unwrap_or_default()))
+        let mut state = CampaignFoldState::new(config);
+        let mut report = TelemetryReport::new();
+        let chunks = 0..self.campaign_chunk_count(config);
+        let pool_stats = self.fold_chunks(config, scheme, chunks, &mut state, Some(&mut report))?;
+        report.wall_clock.worker_jobs = pool_stats.worker_jobs;
+        report.wall_clock.fold_stalls += pool_stats.fold_stalls;
+        Ok((state.finish(config), report))
     }
 
-    fn run_campaign_impl(
+    /// The one campaign fold: maps `chunk_range` to its job range, flies
+    /// each job through [`Self::run_job`] on the pool, and folds outcomes
+    /// (and, with `telemetry`, their mission reports) in run order.
+    fn fold_chunks(
         &self,
         config: &CampaignConfig,
         scheme: &SchemeConfig,
-        instrument: bool,
-    ) -> Result<(EnvironmentCampaign, Option<TelemetryReport>), MavfiError> {
+        chunk_range: Range<usize>,
+        state: &mut CampaignFoldState,
+        mut telemetry: Option<&mut TelemetryReport>,
+    ) -> Result<PoolStats, MavfiError> {
         let detectors = scheme.detectors();
         let jobs = Self::campaign_jobs(config);
-
-        // Instrumented missions: a fresh sink per mission (constructing it
-        // preallocates the telemetry buffers; the mission itself then runs
-        // allocation-free), reduced to a report as soon as the mission
-        // lands.
-        let run_golden = |runner: &MissionRunner| -> (MissionOutcome, Option<MissionReport>) {
-            if instrument {
-                let mut sink = MissionTelemetry::new();
-                let outcome = runner.run_golden_instrumented(&mut sink);
-                let report = sink.into_report(&outcome.pipeline);
-                (outcome, Some(report))
-            } else {
-                (runner.run_golden(), None)
-            }
-        };
-        let run_setting = |runner: &MissionRunner,
-                           fault: FaultSpec,
-                           protection: Protection|
-         -> Result<(MissionOutcome, Option<MissionReport>), MavfiError> {
-            let trained =
-                if protection == Protection::None { None } else { Some(detectors.as_ref()) };
-            if instrument {
-                let mut sink = MissionTelemetry::new();
-                let outcome =
-                    runner.run_instrumented(Some(fault), protection, trained, &mut sink)?;
-                let report = sink.into_report(&outcome.pipeline);
-                Ok((outcome, Some(report)))
-            } else {
-                Ok((runner.run(Some(fault), protection, trained)?, None))
-            }
-        };
-
-        let mut aggregate = CampaignFoldState::new(config);
-        let mut telemetry = if instrument { Some(TelemetryReport::new()) } else { None };
-        let mut state = (&mut aggregate, &mut telemetry);
-        let pool_stats = self.pool.try_fold_ordered_with_stats(
-            &jobs,
-            |_, job| -> Result<JobOutcome, MavfiError> {
-                match job {
-                    CampaignJob::Golden(index) => {
-                        let spec = Self::mission_spec(config, *index);
-                        let (outcome, report) = run_golden(&MissionRunner::new(spec));
-                        Ok(JobOutcome::Golden {
-                            qof: outcome.qof,
-                            ticks: outcome.pipeline.ticks,
-                            compute_ms: outcome.pipeline.total_compute_ms(),
-                            reports: report.into_iter().collect(),
-                        })
-                    }
-                    CampaignJob::Fault(index, fault) => {
-                        let spec = Self::mission_spec(config, *index as u64);
-                        let runner = MissionRunner::new(spec);
-                        let (injected, injected_report) =
-                            run_setting(&runner, *fault, Protection::None)?;
-                        let (gaussian, gaussian_report) =
-                            run_setting(&runner, *fault, Protection::Gaussian)?;
-                        let (autoencoder, autoencoder_report) =
-                            run_setting(&runner, *fault, Protection::Autoencoder)?;
-                        Ok(JobOutcome::Fault(
-                            Box::new(FaultSettingOutcomes {
-                                injected: injected.qof,
-                                gaussian,
-                                autoencoder,
-                            }),
-                            [injected_report, gaussian_report, autoencoder_report]
-                                .into_iter()
-                                .flatten()
-                                .collect(),
-                        ))
-                    }
-                }
-            },
-            &mut state,
-            |(aggregate, telemetry), _, outcome| {
-                if let Some(rollup) = telemetry.as_mut() {
+        let batch = self.batch_size();
+        let end = chunk_range.end.saturating_mul(batch).min(jobs.len());
+        let start = chunk_range.start.saturating_mul(batch).min(end);
+        let instrument = telemetry.is_some();
+        self.pool.try_fold_ordered_with_stats(
+            &jobs[start..end],
+            |_, job| Self::run_job(config, &detectors, job, instrument),
+            state,
+            |state, _, outcome| {
+                if let Some(rollup) = telemetry.as_deref_mut() {
                     let reports = match &outcome {
-                        JobOutcome::Golden { reports, .. } => reports,
-                        JobOutcome::Fault(_, reports) => reports,
+                        JobOutcome::Golden { reports, .. } | JobOutcome::Fault(_, reports) => {
+                            reports
+                        }
                     };
                     for report in reports {
                         rollup.merge_mission(report);
                     }
                 }
-                aggregate.fold(outcome);
+                state.fold(outcome);
             },
-        )?;
-        if let Some(rollup) = telemetry.as_mut() {
-            rollup.wall_clock.worker_jobs = pool_stats.worker_jobs;
-            rollup.wall_clock.fold_stalls += pool_stats.fold_stalls;
+        )
+    }
+
+    /// Flies one campaign job through [`MissionRunner`]: a golden run, or a
+    /// fault's injected / Gaussian / autoencoder triple.  With `instrument`,
+    /// every mission gets a fresh [`MissionTelemetry`] sink (constructing it
+    /// preallocates the telemetry buffers; the mission itself then runs
+    /// allocation-free), reduced to a report as soon as the mission lands.
+    fn run_job(
+        config: &CampaignConfig,
+        detectors: &TrainedDetectors,
+        job: &CampaignJob,
+        instrument: bool,
+    ) -> Result<JobOutcome, MavfiError> {
+        let (index, fault) = match job {
+            CampaignJob::Golden(index) => (*index, None),
+            CampaignJob::Fault(index, fault) => (*index as u64, Some(*fault)),
+        };
+        let runner = MissionRunner::new(Self::mission_spec(config, index));
+        let mut reports = Vec::new();
+        let mut fly = |protection: Protection| -> Result<MissionOutcome, MavfiError> {
+            if !instrument {
+                return runner.run(fault, protection, Some(detectors));
+            }
+            let mut sink = MissionTelemetry::new();
+            let outcome = runner.run_instrumented(fault, protection, Some(detectors), &mut sink)?;
+            reports.push(sink.into_report(&outcome.pipeline));
+            Ok(outcome)
+        };
+        if fault.is_none() {
+            let outcome = fly(Protection::None)?;
+            return Ok(JobOutcome::Golden {
+                qof: outcome.qof,
+                ticks: outcome.pipeline.ticks,
+                compute_ms: outcome.pipeline.total_compute_ms(),
+                reports,
+            });
         }
-        Ok((aggregate.finish(config), telemetry))
+        let injected = fly(Protection::None)?.qof;
+        let gaussian = fly(Protection::Gaussian)?;
+        let autoencoder = fly(Protection::Autoencoder)?;
+        Ok(JobOutcome::Fault(
+            Box::new(FaultSettingOutcomes { injected, gaussian, autoencoder }),
+            reports,
+        ))
     }
 
     /// Runs an injection-only sweep (golden baseline plus unprotected
@@ -786,25 +679,21 @@ mod tests {
     }
 
     #[test]
-    fn batched_campaign_matches_sequential_baseline() {
-        let detectors = quick_detectors();
+    fn a_chunk_fans_its_jobs_out_individually() {
         let config = CampaignConfig {
             environment: EnvironmentKind::Farm,
-            golden_runs: 2,
+            golden_runs: 1,
             injections_per_stage: 1,
             base_seed: 9,
-            mission_time_budget: 60.0,
+            mission_time_budget: 30.0,
         };
-        let scheme = SchemeConfig::trained(detectors);
-        let sequential =
-            CampaignExecutor::new(1).run_campaign_sequential(&config, &scheme).unwrap();
-        for batch in [1, 3] {
-            let batched = CampaignExecutor::new(2)
-                .with_batch_size(batch)
-                .run_campaign(&config, &scheme)
-                .unwrap();
-            assert_eq!(batched, sequential, "batch size {batch}");
-        }
+        let scheme = SchemeConfig::trained(quick_detectors());
+        let executor = CampaignExecutor::new(2).with_batch_size(8);
+        assert_eq!(executor.campaign_chunk_count(&config), 1); // 4 jobs in one chunk
+        let mut state = CampaignFoldState::new(&config);
+        let stats = executor.fold_chunks(&config, &scheme, 0..1, &mut state, None).unwrap();
+        assert_eq!(stats.total_jobs(), 4, "one pool job per campaign job, not per chunk");
+        assert_eq!(state.jobs_folded(), 4);
     }
 
     #[test]
@@ -821,7 +710,7 @@ mod tests {
         let executor = CampaignExecutor::new(2).with_batch_size(2);
         let full = executor.run_campaign(&config, &scheme).unwrap();
         let total = executor.campaign_chunk_count(&config);
-        assert_eq!(total, 3); // 5 jobs at batch size 2
+        assert_eq!(total, 3); // 5 jobs at chunk size 2
         for split in 1..total {
             let mut state = CampaignFoldState::new(&config);
             executor.run_campaign_chunks(&config, &scheme, 0..split, &mut state).unwrap();

@@ -16,25 +16,21 @@
 //! * [`CampaignExecutor`] / [`run_campaign`] — the engine the experiment
 //!   drivers route through: it builds a campaign's full run list (golden +
 //!   per-stage injections), derives every run's seed from
-//!   `(base_seed, run_index)` exactly as the sequential path does, and folds
-//!   outcomes in run order.
-//! * [`MissionBatch`] — batched lockstep execution: each worker job steps a
-//!   structure-of-arrays batch of missions tick-by-tick together, scoring
-//!   every batched autoencoder observation in one matrix-matrix pass per
-//!   stage and sharing depth-capture culling across missions flying the
-//!   same environment.  Outcomes are bit-identical to per-mission runs.
+//!   `(base_seed, run_index)`, flies each campaign job on its own through
+//!   [`MissionRunner`](crate::MissionRunner) and folds outcomes in run
+//!   order.
 //!
 //! Worker counts come from the `MAVFI_WORKERS` environment variable by
 //! default (falling back to the machine's available parallelism), and can be
-//! pinned per executor; batch sizes likewise come from `MAVFI_BATCH` and can
-//! be pinned via [`CampaignExecutor::with_batch_size`].
+//! pinned per executor.  Campaign jobs are grouped into fixed-size *chunks*
+//! ([`CampaignExecutor::with_batch_size`], default
+//! [`CampaignExecutor::DEFAULT_BATCH`]) that only mark the checkpoint and
+//! progress boundaries of the campaign server; they never change results.
 
-mod batch;
 mod cache;
 mod engine;
 mod pool;
 
-pub use batch::{BatchMission, MissionBatch};
 pub use cache::{CacheStats, TrainedDetectorCache};
 pub use engine::{
     run_campaign, run_campaign_instrumented, CampaignExecutor, CampaignFoldState, DetectorSource,

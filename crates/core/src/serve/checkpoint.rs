@@ -3,7 +3,7 @@
 //!
 //! A checkpoint captures everything needed to resume a served campaign
 //! bit-identically after a process restart: the admitted
-//! [`CampaignRequest`] (with its batch size pinned, so chunk boundaries
+//! [`CampaignRequest`] (with its chunk size pinned, so chunk boundaries
 //! stay stable), the number of chunks already folded, and the
 //! [`CampaignFoldState`] those chunks produced.  `f64`s are stored as raw
 //! IEEE-754 bit patterns — a decoded state is the *same bytes*, not a
@@ -238,7 +238,16 @@ fn decode_request(reader: &mut ByteReader<'_>) -> Result<CampaignRequest, TraceE
         mission_time_budget: read_f64_bits(reader)?,
         epochs: reader.read_varint()? as usize,
     };
-    let batch_size = reader.read_varint()? as usize;
+    // Admission always pins a non-zero chunk size; a zero here would be
+    // re-resolved on resume and could move the chunk boundaries.
+    let batch_size = match reader.read_varint()? {
+        0 => {
+            return Err(TraceError::Malformed {
+                reason: "checkpointed request has a zero batch size".to_owned(),
+            })
+        }
+        size => size as usize,
+    };
     Ok(CampaignRequest { config, training_environment, training, batch_size })
 }
 
@@ -353,6 +362,14 @@ mod tests {
         assert_eq!(decoded, checkpoint);
         // Bit-level, not just PartialEq: re-encoding reproduces the bytes.
         assert_eq!(decoded.encode(), checkpoint.encode());
+    }
+
+    #[test]
+    fn a_zero_batch_size_is_malformed() {
+        let mut checkpoint = sample_checkpoint();
+        checkpoint.request.batch_size = 0;
+        let error = CampaignCheckpoint::decode(&checkpoint.encode()).unwrap_err();
+        assert!(matches!(error, TraceError::Malformed { .. }), "{error:?}");
     }
 
     #[test]

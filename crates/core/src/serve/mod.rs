@@ -3,11 +3,11 @@
 //!
 //! [`CampaignServer`] promotes [`run_campaign`](crate::exec::run_campaign)
 //! from a library call into a long-running service node: clients submit
-//! [`CampaignRequest`]s over a bus service, the server shards each
-//! campaign across its persistent worker pool in lockstep-batch *chunks*,
-//! streams incremental [`CampaignProgress`] aggregates on a per-job topic,
-//! and persists a versioned, digest-checked [`CampaignCheckpoint`] after
-//! every stride.  A server killed at any point — between strides, or
+//! [`CampaignRequest`]s over a bus service, the server fans each
+//! campaign's jobs out across its persistent worker pool one *chunk* (a
+//! fixed run of jobs) at a time, streams incremental [`CampaignProgress`]
+//! aggregates on a per-job topic, and persists a versioned, digest-checked
+//! [`CampaignCheckpoint`] after every stride.  A server killed at any point — between strides, or
 //! mid-write thanks to atomic checkpoint renames — resumes from the last
 //! checkpoint and produces a final campaign **byte-identical** to an
 //! uninterrupted serve and to the library call.

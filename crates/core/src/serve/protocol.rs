@@ -32,7 +32,8 @@ pub fn progress_topic(job_id: u64) -> String {
 }
 
 /// One campaign submission: the campaign itself plus everything the server
-/// needs to reproduce its detector bank and batching deterministically.
+/// needs to reproduce its detector bank and checkpoint chunks
+/// deterministically.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CampaignRequest {
     /// The campaign to fly.
@@ -44,9 +45,10 @@ pub struct CampaignRequest {
     /// through the process-global `TrainedDetectorCache`, so equal specs
     /// train once.
     pub training: TrainingSpec,
-    /// Campaign jobs per lockstep batch, pinned for the job's lifetime so
-    /// checkpoint chunk boundaries stay stable across restarts.  `0` lets
-    /// the server pin its own default at admission.
+    /// Campaign jobs per checkpoint chunk, pinned for the job's lifetime so
+    /// chunk boundaries stay stable across restarts.  `0` lets the server
+    /// pin its own default at admission.  Part of the job id and the
+    /// checkpoint format; it never changes the campaign result.
     pub batch_size: usize,
 }
 

@@ -1,7 +1,7 @@
 //! Autoencoder-based anomaly detection (AAD, paper §IV-D).
 
 use mavfi_nn::autoencoder::Autoencoder;
-use mavfi_nn::network::{MlpBatchScratch, MlpScratch};
+use mavfi_nn::network::MlpScratch;
 use mavfi_nn::train::{train_autoencoder, TrainConfig, TrainReport};
 use mavfi_ppc::states::MonitoredStates;
 use serde::{Deserialize, Serialize};
@@ -20,29 +20,6 @@ pub struct AadScratch {
 }
 
 impl AadScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Reusable buffers for [`AadDetector::score_batch_with`] /
-/// [`AadDetector::observe_batch_with`]: the feature-major normalised input
-/// matrix, the batched forward-pass scratch, and the per-sample score and
-/// alarm outputs.  After the first batch of a given size the buffers are at
-/// capacity and the batched scoring path performs zero heap allocations.
-///
-/// Scratches hold no semantic state: a fresh scratch and a reused one
-/// produce bit-identical scores.
-#[derive(Debug, Clone, Default)]
-pub struct AadBatchScratch {
-    inputs: Vec<f64>,
-    mlp: MlpBatchScratch,
-    scores: Vec<f64>,
-    alarms: Vec<bool>,
-}
-
-impl AadBatchScratch {
     /// Creates an empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
@@ -233,11 +210,7 @@ impl AadDetector {
 
     /// Records an already computed anomaly score against this detector's
     /// counters and threshold; returns `true` on alarm.  `observe_with(d, s)`
-    /// is exactly `record_score(score_with(d, s))` — batched drivers score
-    /// a whole batch with [`AadDetector::score_batch_with`] on a shared
-    /// reference detector and then feed each score to the per-mission
-    /// detector's `record_score`, producing the same decisions and counters
-    /// as per-mission `observe_with` calls.
+    /// is exactly `record_score(score_with(d, s))`.
     pub fn record_score(&mut self, score: f64) -> bool {
         self.observations += 1;
         let alarm = score > self.threshold;
@@ -245,72 +218,6 @@ impl AadDetector {
             self.alarms += 1;
         }
         alarm
-    }
-
-    /// Scores a batch of preprocessed delta vectors with one matrix-matrix
-    /// pass per network layer, returning one score per vector in input
-    /// order.  Score `j` is bit-identical to
-    /// [`AadDetector::score_with`]`(&deltas[j], …)`: the normalisation, the
-    /// per-column forward pass and the per-column mean-squared error perform
-    /// the same `f64` operations in the same order (see
-    /// [`mavfi_nn::autoencoder::Autoencoder::reconstruction_error_batch_with`]).
-    ///
-    /// The returned slice borrows from `scratch` and is valid until the
-    /// scratch's next use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `deltas` is empty.
-    pub fn score_batch_with<'scratch>(
-        &self,
-        deltas: &[[f64; MonitoredStates::DIM]],
-        scratch: &'scratch mut AadBatchScratch,
-    ) -> &'scratch [f64] {
-        assert!(!deltas.is_empty(), "batched scoring requires at least one vector");
-        let batch = deltas.len();
-        scratch.inputs.clear();
-        scratch.inputs.resize(MonitoredStates::DIM * batch, 0.0);
-        for (j, sample) in deltas.iter().enumerate() {
-            for (k, value) in sample.iter().enumerate() {
-                // Same arithmetic as `normalize_into`, transposed into the
-                // feature-major batch layout.
-                let finite = if value.is_finite() { *value } else { 0.0 };
-                scratch.inputs[k * batch + j] =
-                    (finite - self.norm_mean[k]) / self.norm_std[k] * self.config.input_scale;
-            }
-        }
-        self.autoencoder.reconstruction_error_batch_with(
-            &scratch.inputs,
-            batch,
-            &mut scratch.mlp,
-            &mut scratch.scores,
-        );
-        &scratch.scores
-    }
-
-    /// Batched [`AadDetector::observe_with`]: scores every vector with
-    /// [`AadDetector::score_batch_with`], then records each score (in input
-    /// order) against this detector's counters.  Returns one alarm flag per
-    /// vector, borrowed from `scratch`.  Decisions and counters are
-    /// bit-identical to calling `observe_with` per vector: scoring depends
-    /// only on the trained weights, never on the counters, so scoring the
-    /// whole batch before recording cannot change any decision.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `deltas` is empty.
-    pub fn observe_batch_with<'scratch>(
-        &mut self,
-        deltas: &[[f64; MonitoredStates::DIM]],
-        scratch: &'scratch mut AadBatchScratch,
-    ) -> &'scratch [bool] {
-        self.score_batch_with(deltas, scratch);
-        let AadBatchScratch { scores, alarms, .. } = scratch;
-        alarms.clear();
-        for &score in scores.iter() {
-            alarms.push(self.record_score(score));
-        }
-        &scratch.alarms
     }
 }
 
@@ -500,32 +407,6 @@ mod tests {
         assert_eq!(mean.len(), 13);
         assert_eq!(std.len(), 13);
         assert!(std.iter().all(|s| *s >= AadConfig::default().min_std));
-    }
-
-    #[test]
-    fn batched_scores_and_alarms_are_bit_identical_to_sequential() {
-        let detector = trained_detector(6);
-        let mut deltas = normal_samples(17, 42);
-        deltas[4][StateField::WaypointZ.index()] = 9_000.0; // guaranteed alarm
-        deltas[11][StateField::CommandVx.index()] = f64::NAN; // non-finite squash path
-
-        let mut batch_scratch = AadBatchScratch::new();
-        let mut scratch = AadScratch::new();
-
-        let scores = detector.score_batch_with(&deltas, &mut batch_scratch).to_vec();
-        for (j, sample) in deltas.iter().enumerate() {
-            let expect = detector.score_with(sample, &mut scratch);
-            assert_eq!(scores[j].to_bits(), expect.to_bits(), "score {j}");
-        }
-
-        let mut batched = detector.clone();
-        let alarms = batched.observe_batch_with(&deltas, &mut batch_scratch).to_vec();
-        let mut sequential = detector.clone();
-        for (j, sample) in deltas.iter().enumerate() {
-            assert_eq!(alarms[j], sequential.observe_with(sample, &mut scratch), "alarm {j}");
-        }
-        assert_eq!(batched.alarms(), sequential.alarms());
-        assert_eq!(batched.observations(), sequential.observations());
     }
 
     #[test]

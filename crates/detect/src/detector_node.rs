@@ -165,50 +165,14 @@ impl DetectorTap {
             .all(|field| self.previous_codes[field.index()].is_some())
     }
 
-    /// The 13-dimensional AAD input: per-field magnitude-code deltas against
-    /// the previous committed baseline (`0.0` for fields with no baseline
-    /// yet), in [`StateField::ALL`] order.
-    fn aad_deltas(&self) -> [f64; MonitoredStates::DIM] {
-        std::array::from_fn(|i| {
-            let field = StateField::ALL[i];
-            match self.previous_codes[field.index()] {
-                Some(previous) => {
-                    f64::from(magnitude_code(Self::squash(self.current.field(field))))
-                        - f64::from(previous)
-                }
-                None => 0.0,
-            }
-        })
-    }
-
     /// Handles one stage's worth of freshly observed states.  Returns the
     /// tap action and whether the corrupted value should be abandoned.
-    ///
-    /// `primed` is a pre-computed AAD anomaly score for the current delta
-    /// vector (ignored by the Gaussian scheme): the batched campaign driver
-    /// scores whole batches with one matrix-matrix pass and feeds each tap
-    /// its own score here, which takes exactly the path the sequential
-    /// `primed == None` scoring takes after the score exists — decisions,
-    /// counters and state updates are shared code, so the two modes cannot
-    /// drift apart.
     ///
     /// Runs every pipeline tick for every stage, so it is allocation-free:
     /// fields are iterated in place and the AAD score goes through the tap's
     /// reusable scratch buffers.
-    fn evaluate_stage(&mut self, stage: Stage, primed: Option<f64>) -> (TapAction, bool) {
+    fn evaluate_stage(&mut self, stage: Stage) -> (TapAction, bool) {
         let warmed = self.stage_has_baseline(stage);
-        // Resolve the AAD score before the scheme is borrowed mutably:
-        // either the batch driver primed it, or score the deltas now.
-        let aad_score = match &self.scheme {
-            DetectionScheme::Gaussian(_) => None,
-            DetectionScheme::Autoencoder(detector) => Some(match primed {
-                Some(score) => score,
-                None => {
-                    let deltas = self.aad_deltas();
-                    detector.score_with(&deltas, &mut self.scratch)
-                }
-            }),
-        };
         match &mut self.scheme {
             DetectionScheme::Gaussian(bank) => {
                 let mut alarmed = false;
@@ -238,8 +202,21 @@ impl DetectorTap {
                 }
             }
             DetectionScheme::Autoencoder(detector) => {
-                let score = aad_score.expect("resolved for the autoencoder scheme above");
-                if detector.record_score(score) && warmed {
+                let deltas = {
+                    let previous = &self.previous_codes;
+                    let current = &self.current;
+                    std::array::from_fn(|i| {
+                        let field = StateField::ALL[i];
+                        match previous[field.index()] {
+                            Some(previous) => {
+                                f64::from(magnitude_code(Self::squash(current.field(field))))
+                                    - f64::from(previous)
+                            }
+                            None => 0.0,
+                        }
+                    })
+                };
+                if detector.observe_with(&deltas, &mut self.scratch) && warmed {
                     self.stats.count_alarm(stage);
                     if stage == Stage::Control {
                         self.stats.count_recompute(Stage::Control);
@@ -255,143 +232,6 @@ impl DetectorTap {
             }
         }
     }
-
-    /// Shared body of [`StageTap::after_perception`] and
-    /// [`DetectorTap::finish_perception`].
-    fn perception_verdict(
-        &mut self,
-        estimate: &mut CollisionEstimate,
-        primed: Option<f64>,
-    ) -> TapAction {
-        self.current.collision = *estimate;
-        let (action, abandon) = self.evaluate_stage(Stage::Perception, primed);
-        if abandon {
-            *estimate = self.last_good.collision;
-            self.current.collision = self.last_good.collision;
-        } else if action == TapAction::Continue {
-            self.last_good.collision = *estimate;
-        }
-        action
-    }
-
-    /// Shared body of [`StageTap::after_planning`] and
-    /// [`DetectorTap::finish_planning`].
-    fn planning_verdict(
-        &mut self,
-        trajectory: &mut Trajectory,
-        active_index: usize,
-        primed: Option<f64>,
-    ) -> TapAction {
-        if trajectory.is_empty() {
-            return TapAction::Continue;
-        }
-        let index = active_index.min(trajectory.len() - 1);
-        self.current.waypoint = trajectory.waypoints[index];
-        let (action, abandon) = self.evaluate_stage(Stage::Planning, primed);
-        if abandon {
-            trajectory.waypoints[index] = self.last_good.waypoint;
-            self.current.waypoint = self.last_good.waypoint;
-        } else if action == TapAction::Continue {
-            self.last_good.waypoint = trajectory.waypoints[index];
-        }
-        action
-    }
-
-    /// Shared body of [`StageTap::after_control`] and
-    /// [`DetectorTap::finish_control`].
-    fn control_verdict(&mut self, command: &mut FlightCommand, primed: Option<f64>) -> TapAction {
-        self.current.command = *command;
-        let (action, abandon) = self.evaluate_stage(Stage::Control, primed);
-        if abandon {
-            *command = self.last_good.command;
-            self.current.command = self.last_good.command;
-        } else if action == TapAction::Continue {
-            self.last_good.command = *command;
-        }
-        action
-    }
-
-    /// Whether this tap runs the autoencoder scheme, i.e. participates in
-    /// batched anomaly scoring.
-    pub fn is_autoencoder(&self) -> bool {
-        matches!(self.scheme, DetectionScheme::Autoencoder(_))
-    }
-
-    /// First half of a batched [`StageTap::after_perception`]: registers the
-    /// freshly observed collision estimate and returns the AAD delta vector
-    /// to score, or `None` when this tap takes no part in batched scoring
-    /// (Gaussian scheme — drive it through the plain `after_*` hooks).
-    ///
-    /// A batch driver scores the collected vectors of all its taps in one
-    /// matrix-matrix pass (`AadDetector::score_batch_with` on a detector
-    /// with the same trained weights) and hands each tap its score via
-    /// [`DetectorTap::finish_perception`].  `begin` + `finish` is
-    /// bit-identical to the sequential hook: both run the same verdict body,
-    /// one with the score primed, one scoring inline.
-    pub fn begin_perception(
-        &mut self,
-        estimate: &CollisionEstimate,
-    ) -> Option<[f64; MonitoredStates::DIM]> {
-        if !self.is_autoencoder() {
-            return None;
-        }
-        self.current.collision = *estimate;
-        Some(self.aad_deltas())
-    }
-
-    /// Second half of a batched [`StageTap::after_perception`]; `score` is
-    /// this tap's entry from the batched scoring pass.
-    pub fn finish_perception(&mut self, score: f64, estimate: &mut CollisionEstimate) -> TapAction {
-        self.perception_verdict(estimate, Some(score))
-    }
-
-    /// First half of a batched [`StageTap::after_planning`]; see
-    /// [`DetectorTap::begin_perception`].  Also returns `None` for an empty
-    /// trajectory, where the sequential hook returns [`TapAction::Continue`]
-    /// without observing anything — the driver must treat `None` the same
-    /// way (no scoring, no `finish` call, action `Continue`).
-    pub fn begin_planning(
-        &mut self,
-        trajectory: &Trajectory,
-        active_index: usize,
-    ) -> Option<[f64; MonitoredStates::DIM]> {
-        if !self.is_autoencoder() || trajectory.is_empty() {
-            return None;
-        }
-        let index = active_index.min(trajectory.len() - 1);
-        self.current.waypoint = trajectory.waypoints[index];
-        Some(self.aad_deltas())
-    }
-
-    /// Second half of a batched [`StageTap::after_planning`]; `score` is
-    /// this tap's entry from the batched scoring pass.
-    pub fn finish_planning(
-        &mut self,
-        score: f64,
-        trajectory: &mut Trajectory,
-        active_index: usize,
-    ) -> TapAction {
-        self.planning_verdict(trajectory, active_index, Some(score))
-    }
-
-    /// First half of a batched [`StageTap::after_control`]; see
-    /// [`DetectorTap::begin_perception`].
-    pub fn begin_control(
-        &mut self,
-        command: &FlightCommand,
-    ) -> Option<[f64; MonitoredStates::DIM]> {
-        if !self.is_autoencoder() {
-            return None;
-        }
-        self.current.command = *command;
-        Some(self.aad_deltas())
-    }
-
-    /// Second half of a batched [`StageTap::after_control`]; `score` is this
-    /// tap's entry from the batched scoring pass.
-    pub fn finish_control(&mut self, score: f64, command: &mut FlightCommand) -> TapAction {
-        self.control_verdict(command, Some(score))
-    }
 }
 
 impl StageTap for DetectorTap {
@@ -402,15 +242,43 @@ impl StageTap for DetectorTap {
     fn after_occupancy(&mut self, _grid: &mut OccupancyGrid) {}
 
     fn after_perception(&mut self, estimate: &mut CollisionEstimate) -> TapAction {
-        self.perception_verdict(estimate, None)
+        self.current.collision = *estimate;
+        let (action, abandon) = self.evaluate_stage(Stage::Perception);
+        if abandon {
+            *estimate = self.last_good.collision;
+            self.current.collision = self.last_good.collision;
+        } else if action == TapAction::Continue {
+            self.last_good.collision = *estimate;
+        }
+        action
     }
 
     fn after_planning(&mut self, trajectory: &mut Trajectory, active_index: usize) -> TapAction {
-        self.planning_verdict(trajectory, active_index, None)
+        if trajectory.is_empty() {
+            return TapAction::Continue;
+        }
+        let index = active_index.min(trajectory.len() - 1);
+        self.current.waypoint = trajectory.waypoints[index];
+        let (action, abandon) = self.evaluate_stage(Stage::Planning);
+        if abandon {
+            trajectory.waypoints[index] = self.last_good.waypoint;
+            self.current.waypoint = self.last_good.waypoint;
+        } else if action == TapAction::Continue {
+            self.last_good.waypoint = trajectory.waypoints[index];
+        }
+        action
     }
 
     fn after_control(&mut self, command: &mut FlightCommand) -> TapAction {
-        self.control_verdict(command, None)
+        self.current.command = *command;
+        let (action, abandon) = self.evaluate_stage(Stage::Control);
+        if abandon {
+            *command = self.last_good.command;
+            self.current.command = self.last_good.command;
+        } else if action == TapAction::Continue {
+            self.last_good.command = *command;
+        }
+        action
     }
 }
 
@@ -530,79 +398,6 @@ mod tests {
         assert_eq!(action, TapAction::Recompute);
         assert_eq!(tap.stats().recomputations_of(Stage::Control), 1);
         assert!(tap.stats().total_alarms() >= 1);
-    }
-
-    #[test]
-    fn batched_begin_finish_matches_sequential_hooks_bit_for_bit() {
-        let (aad, _) = telemetry()
-            .train_aad(AadConfig::default(), &TrainConfig { epochs: 15, ..TrainConfig::default() });
-        // The scoring reference plays the batch driver's shared detector: any
-        // detector with the same trained weights produces the same scores.
-        let scorer = aad.clone();
-        let mut scratch = crate::aad::AadBatchScratch::new();
-        let mut sequential = DetectorTap::new(DetectionScheme::Autoencoder(aad.clone()));
-        let mut batched = DetectorTap::new(DetectionScheme::Autoencoder(aad));
-        assert!(batched.is_autoencoder());
-
-        for step in 0..60 {
-            let states = smooth_states(step);
-            // Inject corruption periodically so alarm/abandon paths run too.
-            let corrupt = step % 17 == 13;
-
-            sequential.after_point_cloud(&mut PointCloud::default());
-            batched.after_point_cloud(&mut PointCloud::default());
-
-            let mut est_seq = states.collision;
-            let mut est_bat = states.collision;
-            let a_seq = sequential.after_perception(&mut est_seq);
-            let deltas = batched.begin_perception(&est_bat).expect("AAD tap");
-            let score = scorer.score_batch_with(&[deltas], &mut scratch)[0];
-            let a_bat = batched.finish_perception(score, &mut est_bat);
-            assert_eq!(a_seq, a_bat, "perception action, step {step}");
-            assert_eq!(est_seq, est_bat, "perception estimate, step {step}");
-
-            let mut waypoint = states.waypoint;
-            if corrupt {
-                waypoint.position.x = 4.0e155;
-            }
-            let mut traj_seq = Trajectory::new(vec![waypoint]);
-            let mut traj_bat = traj_seq.clone();
-            let p_seq = sequential.after_planning(&mut traj_seq, 0);
-            let deltas = batched.begin_planning(&traj_bat, 0).expect("non-empty trajectory");
-            let score = scorer.score_batch_with(&[deltas], &mut scratch)[0];
-            let p_bat = batched.finish_planning(score, &mut traj_bat, 0);
-            assert_eq!(p_seq, p_bat, "planning action, step {step}");
-            assert_eq!(traj_seq, traj_bat, "trajectory, step {step}");
-
-            let mut cmd_seq = states.command;
-            let mut cmd_bat = states.command;
-            let c_seq = sequential.after_control(&mut cmd_seq);
-            let deltas = batched.begin_control(&cmd_bat).expect("AAD tap");
-            let score = scorer.score_batch_with(&[deltas], &mut scratch)[0];
-            let c_bat = batched.finish_control(score, &mut cmd_bat);
-            assert_eq!(c_seq, c_bat, "control action, step {step}");
-            assert_eq!(cmd_seq, cmd_bat, "command, step {step}");
-        }
-        assert_eq!(sequential, batched, "full tap state must stay bit-identical");
-        assert!(sequential.stats().abandonments >= 1, "corruption path never ran");
-
-        // Empty trajectory: the sequential hook continues without observing;
-        // `begin_planning` must mirror that with `None`.
-        let mut empty = Trajectory::new(Vec::new());
-        assert_eq!(sequential.after_planning(&mut empty, 0), TapAction::Continue);
-        assert_eq!(batched.begin_planning(&empty, 0), None);
-        assert_eq!(sequential, batched);
-    }
-
-    #[test]
-    fn gaussian_taps_take_no_part_in_batched_scoring() {
-        let bank = telemetry().build_gad(CgadConfig::default());
-        let mut tap = DetectorTap::new(DetectionScheme::Gaussian(bank));
-        assert!(!tap.is_autoencoder());
-        let states = smooth_states(0);
-        assert_eq!(tap.begin_perception(&states.collision), None);
-        assert_eq!(tap.begin_planning(&Trajectory::new(vec![states.waypoint]), 0), None);
-        assert_eq!(tap.begin_control(&states.command), None);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::activation::Activation;
 use crate::loss::mse;
-use crate::network::{Gradients, Mlp, MlpBatchScratch, MlpScratch};
+use crate::network::{Gradients, Mlp, MlpScratch};
 
 /// An autoencoder: an MLP trained to reproduce its own input, whose
 /// reconstruction error serves as an anomaly score.
@@ -97,40 +97,6 @@ impl Autoencoder {
         mse(self.network.forward_into(input, scratch), input)
     }
 
-    /// Batched [`Autoencoder::reconstruction_error_with`]: scores `batch`
-    /// feature-major input columns (element `inputs[k * batch + j]` is
-    /// feature `k` of sample `j`, see [`crate::tensor::Matrix::matmul_into`])
-    /// with one matrix-matrix pass per layer, appending one score per sample
-    /// to `errors` in sample order.  Each score is bit-identical to the
-    /// sequential path on the same sample: the per-column forward pass and
-    /// the per-column mean-squared error accumulate the same `f64` operations
-    /// in the same order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0` or `inputs.len() != self.input_dim() * batch`.
-    pub fn reconstruction_error_batch_with(
-        &self,
-        inputs: &[f64],
-        batch: usize,
-        scratch: &mut MlpBatchScratch,
-        errors: &mut Vec<f64>,
-    ) {
-        let dim = self.input_dim();
-        let reconstructed = self.network.forward_batch_into(inputs, batch, scratch);
-        errors.clear();
-        for j in 0..batch {
-            // Same accumulation as `mse`: squared differences in feature
-            // order, then one divide.
-            let mut acc = 0.0;
-            for k in 0..dim {
-                let diff = reconstructed[k * batch + j] - inputs[k * batch + j];
-                acc += diff * diff;
-            }
-            errors.push(acc / dim as f64);
-        }
-    }
-
     /// Loss and gradients for one training sample (the target is the input
     /// itself — unsupervised reconstruction).
     pub fn loss_and_gradients(&self, input: &[f64]) -> (f64, Gradients) {
@@ -171,27 +137,5 @@ mod tests {
     #[should_panic(expected = "hidden layer")]
     fn empty_hidden_panics() {
         let _ = Autoencoder::new(5, &[], 0);
-    }
-
-    #[test]
-    fn batched_reconstruction_error_is_bit_identical_to_sequential() {
-        let model = Autoencoder::paper_architecture(7);
-        let batch = 4;
-        let columns: Vec<Vec<f64>> =
-            (0..batch).map(|j| (0..13).map(|k| 0.3 * k as f64 - j as f64).collect()).collect();
-        let mut inputs = vec![0.0; 13 * batch];
-        for (j, col) in columns.iter().enumerate() {
-            for (k, &v) in col.iter().enumerate() {
-                inputs[k * batch + j] = v;
-            }
-        }
-        let mut scratch = MlpBatchScratch::new();
-        let mut errors = Vec::new();
-        model.reconstruction_error_batch_with(&inputs, batch, &mut scratch, &mut errors);
-        let mut single = MlpScratch::new();
-        for (j, col) in columns.iter().enumerate() {
-            let expect = model.reconstruction_error_with(col, &mut single);
-            assert_eq!(errors[j].to_bits(), expect.to_bits(), "sample {j}");
-        }
     }
 }

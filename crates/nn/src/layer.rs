@@ -109,32 +109,6 @@ impl Dense {
         self.activation.apply_slice(out);
     }
 
-    /// Batched forward pass over `batch` feature-major columns (see
-    /// [`Matrix::matmul_into`] for the layout): one matrix-matrix pass plus a
-    /// broadcast bias add and elementwise activation.  Every column of the
-    /// output is bit-identical to [`Dense::forward_into`] on the
-    /// corresponding input column — the per-element accumulation order, the
-    /// bias add and the activation are the same operations in the same
-    /// order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0` or `input.len() != self.input_dim() * batch`.
-    pub fn forward_batch_into(&self, input: &[f64], batch: usize, out: &mut Vec<f64>) {
-        assert_eq!(
-            input.len(),
-            self.input_dim() * batch,
-            "dense layer batched input dimension mismatch"
-        );
-        self.weights.matmul_into(input, batch, out);
-        for (row, b) in self.biases.iter().enumerate() {
-            for z in &mut out[row * batch..(row + 1) * batch] {
-                *z += b;
-            }
-        }
-        self.activation.apply_slice(out);
-    }
-
     /// Forward pass that keeps the intermediate values needed by
     /// [`Dense::backward`].
     pub fn forward_cached(&self, input: &[f64]) -> LayerCache {

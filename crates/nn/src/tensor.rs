@@ -120,41 +120,6 @@ impl Matrix {
         }
     }
 
-    /// Matrix-matrix product `self * x` over a batch of column vectors,
-    /// written into a caller-provided buffer.
-    ///
-    /// `x` holds `batch` column vectors in feature-major layout: element
-    /// `x[k * batch + j]` is feature `k` of column `j`.  The output uses the
-    /// same layout: `out[row * batch + j]` is output row `row` of column `j`.
-    /// The buffer is cleared and refilled; its capacity is reused.
-    ///
-    /// Every output column is bit-identical to [`Matrix::matvec_into`] on the
-    /// corresponding input column: the accumulation over `k` starts at `0.0`
-    /// and adds `w[row][k] * x[k][j]` in ascending `k` order, exactly the
-    /// per-row summation `matvec_into` performs.  Batched callers can
-    /// therefore substitute one `matmul_into` for N matvecs without
-    /// perturbing results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0` or `x.len() != self.cols() * batch`.
-    pub fn matmul_into(&self, x: &[f64], batch: usize, out: &mut Vec<f64>) {
-        assert!(batch > 0, "batch must be non-empty");
-        assert_eq!(x.len(), self.cols * batch, "dimension mismatch in matmul");
-        out.clear();
-        out.resize(self.rows * batch, 0.0);
-        for row in 0..self.rows {
-            let offset = row * self.cols;
-            let out_row = &mut out[row * batch..(row + 1) * batch];
-            for (k, &w) in self.data[offset..offset + self.cols].iter().enumerate() {
-                let x_row = &x[k * batch..(k + 1) * batch];
-                for (acc, &xi) in out_row.iter_mut().zip(x_row) {
-                    *acc += w * xi;
-                }
-            }
-        }
-    }
-
     /// Transposed matrix-vector product `selfᵀ * x`.
     ///
     /// # Panics
@@ -238,44 +203,6 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn matvec_dimension_mismatch_panics() {
         Matrix::zeros(2, 2).matvec(&[1.0]);
-    }
-
-    #[test]
-    fn matmul_columns_are_bit_identical_to_matvec() {
-        let m = Matrix::xavier(7, 5, 42);
-        let batch = 4;
-        // Feature-major batch with awkward, rounding-sensitive values.
-        let columns: Vec<Vec<f64>> = (0..batch)
-            .map(|j| (0..5).map(|k| 0.1 + 1e13 * (j as f64) - 0.3 * (k as f64)).collect())
-            .collect();
-        let mut x = vec![0.0; 5 * batch];
-        for (j, col) in columns.iter().enumerate() {
-            for (k, &v) in col.iter().enumerate() {
-                x[k * batch + j] = v;
-            }
-        }
-        let mut out = Vec::new();
-        m.matmul_into(&x, batch, &mut out);
-        for (j, col) in columns.iter().enumerate() {
-            let single = m.matvec(col);
-            for (row, &expect) in single.iter().enumerate() {
-                assert_eq!(out[row * batch + j].to_bits(), expect.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn matmul_with_batch_one_matches_matvec_layout() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        let mut out = Vec::new();
-        m.matmul_into(&[1.0, 0.0, -1.0], 1, &mut out);
-        assert_eq!(out, m.matvec(&[1.0, 0.0, -1.0]));
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn matmul_dimension_mismatch_panics() {
-        Matrix::zeros(2, 2).matmul_into(&[1.0, 2.0, 3.0], 2, &mut Vec::new());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::perception::{
 use crate::planning::{
     MissionPlan, MotionPlanner, PathSmoother, PlannerAlgorithm, PlannerConfig, TrajectoryGenerator,
 };
-use crate::states::{CollisionEstimate, MonitoredStates, PointCloud, Stage, Trajectory, Waypoint};
+use crate::states::{MonitoredStates, PointCloud, Stage, Trajectory, Waypoint};
 use crate::tap::{StageTap, TapAction};
 
 /// Configuration of a full PPC pipeline.
@@ -242,34 +242,6 @@ impl StageList {
     }
 }
 
-/// State of one pipeline tick while its stages are being driven externally.
-///
-/// The in-order tick driver is [`PpcPipeline::tick`]; batched lockstep
-/// execution (`mavfi::exec::batch`) instead walks the same stages through
-/// [`PpcPipeline::begin_tick`] → [`PpcPipeline::apply_perception_action`] →
-/// [`PpcPipeline::planning_stage`] → [`PpcPipeline::apply_planning_action`]
-/// → [`PpcPipeline::control_stage`] →
-/// [`PpcPipeline::apply_control_action`] → [`PpcPipeline::finish_tick`],
-/// carrying this `Copy` (heap-free) value between the calls so the stage
-/// taps of many missions can be evaluated together between stages.
-/// `tick()` is itself recomposed from exactly these calls, so the two
-/// drivers are bit-identical by construction.
-#[derive(Debug, Clone, Copy)]
-pub struct TickInFlight {
-    /// The perception-stage collision estimate (tap-corrupted or recovered
-    /// in place by [`PpcPipeline::apply_perception_action`]).
-    pub estimate: CollisionEstimate,
-    /// Stages recomputed so far at a tap's request.
-    pub recomputed_stages: StageList,
-    /// Whether the planning stage ran (replan) during this tick.
-    pub replanned: bool,
-    /// The flight command issued by the control stage (valid after
-    /// [`PpcPipeline::control_stage`]).
-    pub command: FlightCommand,
-    position: Vec3,
-    target: Option<Waypoint>,
-}
-
 /// Output of one pipeline tick.
 ///
 /// `Copy`: returning a tick performs no heap allocation.
@@ -483,37 +455,12 @@ impl PpcPipeline {
         dt: f64,
         tap: &mut dyn StageTap,
     ) -> PpcTick {
-        let mut tick = self.begin_tick(frame, vehicle, tap);
-        let action = tap.after_perception(&mut tick.estimate);
-        self.apply_perception_action(&mut tick, vehicle, action);
-        self.planning_stage(&mut tick);
-        let action = self.with_planning_tap(|trajectory, active_index| {
-            tap.after_planning(trajectory, active_index)
-        });
-        self.apply_planning_action(&mut tick, action);
-        self.control_stage(&mut tick, vehicle, dt);
-        let action = tap.after_control(&mut tick.command);
-        self.apply_control_action(&mut tick, vehicle, dt, action);
-        self.finish_tick(tick, vehicle)
-    }
-
-    /// Starts a tick: runs the perception kernels (point-cloud generation,
-    /// occupancy update, cached collision check) with `tap` hooked between
-    /// them, and returns the in-flight tick state.
-    ///
-    /// The caller must then evaluate the tap's perception verdict on
-    /// `tick.estimate` and continue with
-    /// [`PpcPipeline::apply_perception_action`].
-    pub fn begin_tick(
-        &mut self,
-        frame: &DepthFrame,
-        vehicle: &QuadrotorState,
-        tap: &mut dyn StageTap,
-    ) -> TickInFlight {
         self.stats.ticks += 1;
         self.tick_timings.clear();
+        let mut recomputed_stages = StageList::new();
         let position = vehicle.position;
 
+        // ----- Perception -----
         let timer = self.timing_start();
         self.point_cloud_generator.run_into(frame, &mut self.cloud);
         self.record_timing(KernelId::PointCloudGeneration, timer);
@@ -526,7 +473,7 @@ impl PpcPipeline {
         tap.after_occupancy(&mut self.occupancy);
 
         let timer = self.timing_start();
-        let estimate = self.collision_checker.run_cached(
+        let mut estimate = self.collision_checker.run_cached(
             &self.occupancy,
             position,
             vehicle.velocity,
@@ -536,157 +483,97 @@ impl PpcPipeline {
         );
         self.record_timing(KernelId::CollisionCheck, timer);
         self.stats.count_kernel(KernelId::CollisionCheck);
-
-        TickInFlight {
-            estimate,
-            recomputed_stages: StageList::new(),
-            replanned: false,
-            command: FlightCommand::HOLD,
-            position,
-            target: None,
+        if tap.after_perception(&mut estimate) == TapAction::Recompute {
+            // Recovery: rebuild the perception output from scratch (occupancy
+            // re-update plus collision re-check, the 289 ms path of §VI-C).
+            // When the re-inserted cloud adds no new voxel — the common case,
+            // the corruption hit the estimate, not the map — both grid and
+            // trajectory revisions are unchanged and the re-check is a pure
+            // cache hit.
+            let timer = self.timing_start();
+            self.occupancy.insert_cloud(&self.cloud);
+            self.record_timing(KernelId::OctoMap, timer);
+            self.stats.count_kernel(KernelId::OctoMap);
+            let timer = self.timing_start();
+            estimate = self.collision_checker.run_cached(
+                &self.occupancy,
+                position,
+                vehicle.velocity,
+                &self.trajectory,
+                self.trajectory_revision,
+                self.tracker.active_index(),
+            );
+            self.record_timing(KernelId::CollisionCheck, timer);
+            self.stats.count_kernel(KernelId::CollisionCheck);
+            self.stats.count_recompute(Stage::Perception);
+            recomputed_stages.push(Stage::Perception);
         }
-    }
 
-    /// Applies the tap's perception verdict: on [`TapAction::Recompute`],
-    /// rebuilds the perception output from scratch (occupancy re-update plus
-    /// collision re-check, the 289 ms path of §VI-C).  When the re-inserted
-    /// cloud adds no new voxel — the common case, the corruption hit the
-    /// estimate, not the map — both grid and trajectory revisions are
-    /// unchanged and the re-check is a pure cache hit.
-    pub fn apply_perception_action(
-        &mut self,
-        tick: &mut TickInFlight,
-        vehicle: &QuadrotorState,
-        action: TapAction,
-    ) {
-        if action != TapAction::Recompute {
-            return;
-        }
-        let timer = self.timing_start();
-        self.occupancy.insert_cloud(&self.cloud);
-        self.record_timing(KernelId::OctoMap, timer);
-        self.stats.count_kernel(KernelId::OctoMap);
-        let timer = self.timing_start();
-        tick.estimate = self.collision_checker.run_cached(
-            &self.occupancy,
-            tick.position,
-            vehicle.velocity,
-            &self.trajectory,
-            self.trajectory_revision,
-            self.tracker.active_index(),
-        );
-        self.record_timing(KernelId::CollisionCheck, timer);
-        self.stats.count_kernel(KernelId::CollisionCheck);
-        self.stats.count_recompute(Stage::Perception);
-        tick.recomputed_stages.push(Stage::Perception);
-    }
-
-    /// Runs the planning stage: replans when the trajectory is missing,
-    /// finished or predicted to collide.  Sets `tick.replanned`.
-    pub fn planning_stage(&mut self, tick: &mut TickInFlight) {
-        let collision_imminent = tick.estimate.obstacle_ahead
-            && (tick.estimate.time_to_collision <= self.config.replan_ttc_threshold
-                || tick.estimate.future_collision_seq >= 0.0);
+        // ----- Planning -----
+        let collision_imminent = estimate.obstacle_ahead
+            && (estimate.time_to_collision <= self.config.replan_ttc_threshold
+                || estimate.future_collision_seq >= 0.0);
         let needs_plan = self.trajectory.is_empty()
             || self.tracker.is_finished(&self.trajectory)
             || collision_imminent;
+        let mut replanned = false;
         if needs_plan && !self.mission.is_complete() {
-            tick.replanned = self.replan(tick.position);
+            replanned = self.replan(position);
         }
-    }
-
-    /// Invokes `f` on the stored trajectory and the tracker's active
-    /// way-point index — the exact arguments [`StageTap::after_planning`]
-    /// receives.  External drivers use this to evaluate planning taps
-    /// between [`PpcPipeline::planning_stage`] and
-    /// [`PpcPipeline::apply_planning_action`].
-    pub fn with_planning_tap<R>(&mut self, f: impl FnOnce(&mut Trajectory, usize) -> R) -> R {
-        let active_index = self.tracker.active_index();
-        f(&mut self.trajectory, active_index)
-    }
-
-    /// Applies the tap's planning verdict (on [`TapAction::Recompute`],
-    /// regenerates the trajectory — the 83 ms re-plan path), then
-    /// shadow-compares the stored trajectory so *any* planning-stage
-    /// mutation — replan, tap corruption, abandonment restore — bumps the
-    /// revision the collision-check cache keys on.  Way-points are plain
-    /// `Copy` data, so the compare is a cheap linear scan and the shadow
-    /// refresh reuses its buffer.  The shadow compare runs unconditionally:
-    /// call this exactly once per tick, whatever the verdict.
-    pub fn apply_planning_action(&mut self, tick: &mut TickInFlight, action: TapAction) {
-        if action == TapAction::Recompute {
-            self.replan(tick.position);
+        if tap.after_planning(&mut self.trajectory, self.tracker.active_index())
+            == TapAction::Recompute
+        {
+            // Recovery: regenerate the trajectory (the 83 ms re-plan path).
+            self.replan(position);
             self.stats.count_recompute(Stage::Planning);
-            tick.recomputed_stages.push(Stage::Planning);
+            recomputed_stages.push(Stage::Planning);
         }
+        // Revision tracking: shadow-compare the stored trajectory so *any*
+        // planning-stage mutation — replan, tap corruption, abandonment
+        // restore — bumps the revision the collision-check cache keys on.
+        // Way-points are plain `Copy` data, so the compare is a cheap linear
+        // scan and the shadow refresh reuses its buffer.
         if self.trajectory.waypoints != self.trajectory_shadow {
             self.trajectory_revision += 1;
             self.trajectory_shadow.clone_from(&self.trajectory.waypoints);
         }
-    }
 
-    /// Runs the control stage: path tracking plus PID command issue.  Sets
-    /// `tick.command` (for the tap's control verdict) and remembers the
-    /// tracked way-point for the monitored-state snapshot.
-    pub fn control_stage(&mut self, tick: &mut TickInFlight, vehicle: &QuadrotorState, dt: f64) {
+        // ----- Control -----
         self.stats.count_kernel(KernelId::PathTracking);
         let timer = self.timing_start();
-        tick.target = self.tracker.target(&self.trajectory, tick.position);
+        let target = self.tracker.target(&self.trajectory, position);
         self.record_timing(KernelId::PathTracking, timer);
-        tick.command = self.issue_command(tick.target.as_ref(), vehicle, dt);
-    }
-
-    /// Applies the tap's control verdict: on [`TapAction::Recompute`],
-    /// recomputes the control output (the 0.46 ms path).  The monitored
-    /// way-point keeps the *original* control target — recovery replaces the
-    /// command, not the snapshot the detectors monitor.
-    pub fn apply_control_action(
-        &mut self,
-        tick: &mut TickInFlight,
-        vehicle: &QuadrotorState,
-        dt: f64,
-        action: TapAction,
-    ) {
-        if action != TapAction::Recompute {
-            return;
+        let mut command = self.issue_command(target.as_ref(), vehicle, dt);
+        if tap.after_control(&mut command) == TapAction::Recompute {
+            // Recovery: recompute the control output (the 0.46 ms path).
+            self.pid.reset();
+            self.stats.count_kernel(KernelId::PathTracking);
+            let timer = self.timing_start();
+            let fresh_target = self.tracker.target(&self.trajectory, position);
+            self.record_timing(KernelId::PathTracking, timer);
+            command = self.issue_command(fresh_target.as_ref(), vehicle, dt);
+            self.stats.count_recompute(Stage::Control);
+            recomputed_stages.push(Stage::Control);
         }
-        self.pid.reset();
-        self.stats.count_kernel(KernelId::PathTracking);
-        let timer = self.timing_start();
-        let fresh_target = self.tracker.target(&self.trajectory, tick.position);
-        self.record_timing(KernelId::PathTracking, timer);
-        tick.command = self.issue_command(fresh_target.as_ref(), vehicle, dt);
-        self.stats.count_recompute(Stage::Control);
-        tick.recomputed_stages.push(Stage::Control);
-    }
 
-    /// Finishes a tick: mission bookkeeping plus the monitored-state
-    /// snapshot.  Consumes the in-flight state and returns the tick output.
-    pub fn finish_tick(&mut self, tick: TickInFlight, vehicle: &QuadrotorState) -> PpcTick {
+        // ----- Mission bookkeeping -----
         self.stats.count_kernel(KernelId::MissionPlanner);
         let timer = self.timing_start();
-        let mission_complete = self
-            .mission
-            .advance_if_reached(tick.position, self.config.planner_config.goal_tolerance);
+        let mission_complete =
+            self.mission.advance_if_reached(position, self.config.planner_config.goal_tolerance);
         self.record_timing(KernelId::MissionPlanner, timer);
 
         let monitored = MonitoredStates {
-            collision: tick.estimate,
-            waypoint: tick.target.unwrap_or(Waypoint {
-                position: tick.position,
+            collision: estimate,
+            waypoint: target.unwrap_or(Waypoint {
+                position,
                 yaw: vehicle.yaw,
                 velocity: Vec3::ZERO,
             }),
-            command: tick.command,
+            command,
         };
 
-        PpcTick {
-            command: tick.command,
-            monitored,
-            replanned: tick.replanned,
-            recomputed_stages: tick.recomputed_stages,
-            mission_complete,
-        }
+        PpcTick { command, monitored, replanned, recomputed_stages, mission_complete }
     }
 
     fn replan(&mut self, position: Vec3) -> bool {
@@ -835,48 +722,6 @@ mod tests {
         assert_eq!(pipeline.stats().recomputations_of(Stage::Perception), 1);
         assert_eq!(pipeline.stats().recomputations_of(Stage::Planning), 1);
         assert_eq!(pipeline.stats().recomputations_of(Stage::Control), 1);
-    }
-
-    #[test]
-    fn externally_driven_stages_are_bit_identical_to_tick() {
-        let env = EnvironmentKind::Dense.build(4);
-        let config = PpcConfig::new(PlannerAlgorithm::RrtStar, env.bounds(), 4);
-        let mut reference = PpcPipeline::new(config, env.start(), env.goal());
-        let mut split = PpcPipeline::new(config, env.start(), env.goal());
-        let camera = DepthCamera::default();
-        let mut world = World::new(
-            env,
-            QuadrotorParams::default(),
-            PowerModel::default(),
-            MissionConfig::default(),
-        );
-        let dt = 0.1;
-        for step in 0..400 {
-            if world.status() != MissionStatus::InProgress {
-                break;
-            }
-            let frame = camera.capture(world.environment(), &world.vehicle().pose());
-            let state = world.vehicle().state();
-            let expected = reference.tick(&frame, &state, dt, &mut NoopTap);
-
-            let mut tap = NoopTap;
-            let mut tick = split.begin_tick(&frame, &state, &mut tap);
-            let action = tap.after_perception(&mut tick.estimate);
-            split.apply_perception_action(&mut tick, &state, action);
-            split.planning_stage(&mut tick);
-            let action =
-                split.with_planning_tap(|trajectory, index| tap.after_planning(trajectory, index));
-            split.apply_planning_action(&mut tick, action);
-            split.control_stage(&mut tick, &state, dt);
-            let action = tap.after_control(&mut tick.command);
-            split.apply_control_action(&mut tick, &state, dt, action);
-            let got = split.finish_tick(tick, &state);
-
-            assert_eq!(got, expected, "step {step}");
-            world.step(&expected.command, dt);
-        }
-        assert_eq!(split.stats(), reference.stats());
-        assert_eq!(split.trajectory_revision(), reference.trajectory_revision());
     }
 
     #[test]

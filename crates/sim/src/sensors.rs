@@ -9,28 +9,12 @@ use crate::env::Environment;
 use crate::geometry::{Pose, Vec3};
 
 /// A depth-camera frame expressed as a world-frame point cloud.
-#[derive(Debug, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct DepthFrame {
     /// Hit points in the world frame, one per ray that struck an obstacle.
     pub points: Vec<Vec3>,
     /// Total number of rays cast for this frame (hits plus misses).
     pub rays_cast: usize,
-}
-
-/// Manual impl so `clone_from` reuses the destination's point buffer (the
-/// derived impl would fall back to `*self = source.clone()`, allocating a
-/// fresh vector).  Batched capture leans on this: a mission whose pose
-/// equals a batch-mate's copies the mate's frame every tick, and a warm
-/// steady state must not allocate for it.
-impl Clone for DepthFrame {
-    fn clone(&self) -> Self {
-        Self { points: self.points.clone(), rays_cast: self.rays_cast }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.points.clone_from(&source.points);
-        self.rays_cast = source.rays_cast;
-    }
 }
 
 /// A depth-camera frame in hit-parameter form: for each ray that struck an
@@ -210,104 +194,6 @@ impl DepthCamera {
         Vec3::new(yaw.cos() * pitch.cos(), yaw.sin() * pitch.cos(), pitch.sin())
     }
 
-    /// Whether the broad-phase cull must keep `aabb` for a capture from
-    /// `pose`.  Both tests are conservative: a `false` answer proves no ray
-    /// from this pose can hit the box within range.
-    fn pose_may_see(&self, pose: &Pose, aabb: &crate::geometry::Aabb) -> bool {
-        let origin = pose.position;
-        // Range cull: the nearest point of the box is beyond max_range,
-        // so any ray's entry parameter would exceed it.
-        let closest = Vec3::new(
-            origin.x.clamp(aabb.min.x, aabb.max.x),
-            origin.y.clamp(aabb.min.y, aabb.max.y),
-            origin.z.clamp(aabb.min.z, aabb.max.z),
-        );
-        if closest.distance(origin) > self.max_range {
-            return false;
-        }
-        // Behind cull: if even the box's support point along the heading is
-        // behind the camera plane, the whole box is (convexity), and forward
-        // rays cannot enter it.  Only valid when every ray direction has a
-        // non-negative component along the camera heading, i.e. both fields
-        // of view stay within a half-space.
-        let half_space_valid = self.horizontal_fov <= std::f64::consts::PI
-            && self.vertical_fov <= std::f64::consts::PI;
-        if half_space_valid {
-            let forward = pose.forward();
-            let support = Vec3::new(
-                if forward.x >= 0.0 { aabb.max.x } else { aabb.min.x },
-                if forward.y >= 0.0 { aabb.max.y } else { aabb.min.y },
-                if forward.z >= 0.0 { aabb.max.z } else { aabb.min.z },
-            );
-            if (support - origin).dot(forward) < 0.0 {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Broad-phase culls the obstacle set for a *batch* of poses sharing one
-    /// environment, filling `scratch` with the indices of every obstacle
-    /// visible from **any** of the poses (ascending, deduplicated).
-    ///
-    /// Because the per-pose cull is conservative, a union over poses is a
-    /// superset of each pose's own survivor set — and a superset never
-    /// changes a capture's output, because the narrow phase filters by
-    /// `t <= max_range` and takes the minimum hit anyway.  One union cull
-    /// therefore serves every pose in the batch with bit-identical frames,
-    /// amortising the O(obstacles) scan across the missions that share an
-    /// environment (see [`DepthCamera::capture_culled_into`]).
-    pub fn cull_batch_into(&self, env: &Environment, poses: &[Pose], scratch: &mut CaptureScratch) {
-        scratch.visible.clear();
-        for (index, obstacle) in env.obstacles().iter().enumerate() {
-            if poses.iter().any(|pose| self.pose_may_see(pose, &obstacle.aabb)) {
-                scratch.visible.push(index);
-            }
-        }
-    }
-
-    /// Captures a frame from one pose through an already prepared cull list
-    /// (from [`DepthCamera::cull_batch_into`] over a pose batch that
-    /// included this pose, or any other conservative survivor superset).
-    /// The frame is bit-identical to [`DepthCamera::capture_into`] from the
-    /// same pose.
-    pub fn capture_culled_into(
-        &self,
-        env: &Environment,
-        pose: &Pose,
-        scratch: &CaptureScratch,
-        frame: &mut DepthFrame,
-    ) {
-        frame.points.clear();
-        frame.rays_cast = self.ray_count();
-        let origin = pose.position;
-        self.cast_culled(env, pose, &scratch.visible, |_, direction, t| {
-            frame.points.push(origin + direction * t);
-        });
-    }
-
-    /// Captures one frame per pose with a single shared broad-phase cull:
-    /// the batched counterpart of [`DepthCamera::capture_into`], for
-    /// missions whose vehicles fly the same environment.  Every frame is
-    /// bit-identical to a per-pose `capture_into`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `poses` and `frames` have different lengths.
-    pub fn capture_batch_into(
-        &self,
-        env: &Environment,
-        poses: &[Pose],
-        scratch: &mut CaptureScratch,
-        frames: &mut [DepthFrame],
-    ) {
-        assert_eq!(poses.len(), frames.len(), "one frame per pose");
-        self.cull_batch_into(env, poses, scratch);
-        for (pose, frame) in poses.iter().zip(frames) {
-            self.capture_culled_into(env, pose, scratch, frame);
-        }
-    }
-
     /// Broad-phase culls the obstacle set, then casts every ray, invoking
     /// `on_hit(ray_index, direction, t)` for each ray that strikes an
     /// obstacle within range.
@@ -316,35 +202,51 @@ impl DepthCamera {
         env: &Environment,
         pose: &Pose,
         scratch: &mut CaptureScratch,
-        on_hit: impl FnMut(u32, Vec3, f64),
-    ) {
-        scratch.visible.clear();
-        for (index, obstacle) in env.obstacles().iter().enumerate() {
-            if self.pose_may_see(pose, &obstacle.aabb) {
-                scratch.visible.push(index);
-            }
-        }
-        self.cast_culled(env, pose, &scratch.visible, on_hit);
-    }
-
-    /// Narrow phase: casts every ray against the obstacles in `visible`,
-    /// invoking `on_hit(ray_index, direction, t)` per hit.  Any conservative
-    /// survivor superset produces the same hits — culled obstacles are
-    /// exactly those no ray can hit within range.
-    fn cast_culled(
-        &self,
-        env: &Environment,
-        pose: &Pose,
-        visible: &[usize],
         mut on_hit: impl FnMut(u32, Vec3, f64),
     ) {
         let origin = pose.position;
+
+        // Broad-phase cull.  The behind-the-camera test is only valid when
+        // every ray direction has a non-negative component along the camera
+        // heading, i.e. both fields of view stay within a half-space.
+        let forward = pose.forward();
+        let half_space_valid = self.horizontal_fov <= std::f64::consts::PI
+            && self.vertical_fov <= std::f64::consts::PI;
+        scratch.visible.clear();
+        for (index, obstacle) in env.obstacles().iter().enumerate() {
+            let aabb = obstacle.aabb;
+            // Range cull: the nearest point of the box is beyond max_range,
+            // so any ray's entry parameter would exceed it.
+            let closest = Vec3::new(
+                origin.x.clamp(aabb.min.x, aabb.max.x),
+                origin.y.clamp(aabb.min.y, aabb.max.y),
+                origin.z.clamp(aabb.min.z, aabb.max.z),
+            );
+            if closest.distance(origin) > self.max_range {
+                continue;
+            }
+            // Behind cull: if even the box's support point along the heading
+            // is behind the camera plane, the whole box is (convexity), and
+            // forward rays cannot enter it.
+            if half_space_valid {
+                let support = Vec3::new(
+                    if forward.x >= 0.0 { aabb.max.x } else { aabb.min.x },
+                    if forward.y >= 0.0 { aabb.max.y } else { aabb.min.y },
+                    if forward.z >= 0.0 { aabb.max.z } else { aabb.min.z },
+                );
+                if (support - origin).dot(forward) < 0.0 {
+                    continue;
+                }
+            }
+            scratch.visible.push(index);
+        }
+
         let obstacles = env.obstacles();
         for vi in 0..self.vertical_rays {
             for hi in 0..self.horizontal_rays {
                 let direction = self.ray_direction(pose.yaw, hi, vi);
                 let mut nearest: Option<f64> = None;
-                for &index in visible {
+                for &index in &scratch.visible {
                     if let Some(t) = obstacles[index].aabb.ray_intersection(origin, direction) {
                         if t <= self.max_range && nearest.map_or(true, |best| t < best) {
                             nearest = Some(t);
@@ -495,46 +397,6 @@ mod tests {
                 assert_eq!(a.x.to_bits(), b.x.to_bits());
                 assert_eq!(a.y.to_bits(), b.y.to_bits());
                 assert_eq!(a.z.to_bits(), b.z.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn batched_capture_with_union_cull_is_bit_identical_per_pose() {
-        for (kind, seed) in [
-            (EnvironmentKind::Sparse, 3),
-            (EnvironmentKind::Dense, 8),
-            (EnvironmentKind::Randomized, 11),
-        ] {
-            let env = kind.build(seed);
-            let camera = DepthCamera::default();
-            // Poses spread across the environment with divergent headings, so
-            // the union survivor set is a strict superset of most per-pose
-            // sets.
-            let poses: Vec<Pose> = (0..6)
-                .map(|i| {
-                    let f = i as f64;
-                    Pose::new(
-                        env.start() + Vec3::new(3.0 * f, 1.5 * f - 4.0, 0.3 * f),
-                        f * 1.1 - 2.5,
-                    )
-                })
-                .collect();
-            let mut frames = vec![DepthFrame::default(); poses.len()];
-            let mut scratch = CaptureScratch::new();
-            camera.capture_batch_into(&env, &poses, &mut scratch, &mut frames);
-
-            let mut single_scratch = CaptureScratch::new();
-            let mut expect = DepthFrame::default();
-            for (pose, frame) in poses.iter().zip(&frames) {
-                camera.capture_into(&env, pose, &mut single_scratch, &mut expect);
-                assert_eq!(frame.rays_cast, expect.rays_cast);
-                assert_eq!(frame.points.len(), expect.points.len());
-                for (a, b) in frame.points.iter().zip(&expect.points) {
-                    assert_eq!(a.x.to_bits(), b.x.to_bits());
-                    assert_eq!(a.y.to_bits(), b.y.to_bits());
-                    assert_eq!(a.z.to_bits(), b.z.to_bits());
-                }
             }
         }
     }

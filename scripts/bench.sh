@@ -23,8 +23,8 @@
 #   - replan_micro             -> ns/replan per planner + forced-replan ticks/sec
 #   - replay_micro             -> record-overhead + ppc-only replay ticks/sec
 #   - table2_overhead          -> ticks/sec of an AAD-protected mission
-#   - batch_throughput         -> batched lockstep vs sequential ticks/sec,
-#                                 worker-pool scaling curve
+#   - worker_scaling           -> campaign-shaped protected ticks/sec on one
+#                                 worker, worker-pool scaling curve
 #   - serve_scaling            -> served-campaign jobs/sec per worker count,
 #                                 service overhead vs the library call
 # Full campaigns (paper tables/figures) are skipped; drop MAVFI_BENCH_QUICK
@@ -62,7 +62,7 @@ cargo bench -q --offline -p mavfi-bench --bench detector_micro
 cargo bench -q --offline -p mavfi-bench --bench replan_micro
 cargo bench -q --offline -p mavfi-bench --bench replay_micro
 cargo bench -q --offline -p mavfi-bench --bench table2_overhead
-cargo bench -q --offline -p mavfi-bench --bench batch_throughput
+cargo bench -q --offline -p mavfi-bench --bench worker_scaling
 cargo bench -q --offline -p mavfi-bench --bench serve_scaling
 
 echo "==> appended entries to $LOG:"

@@ -2,9 +2,10 @@
 # The full local lint gate: formatting, clippy (warnings are errors),
 # rustdoc (warnings are errors, including broken intra-doc links — the
 # `docs/` markdown pages are included into the `mavfi-suite` crate docs, so
-# the same gate covers them), a smoke run of the instrumented-telemetry
-# example, and a relative-link existence check over the repository's
-# markdown documentation.
+# the same gate covers them), smoke runs of the examples, the bench-log
+# gate, a short run of every benchmark workload on this tree, and a
+# relative-link existence check over the repository's markdown
+# documentation.
 #
 # Usage: ./scripts/check.sh
 #
@@ -34,6 +35,22 @@ cargo run --release --offline -q --example campaign_server -- --smoke >/dev/null
 
 echo "==> bench log gate: BENCH_9.json -> BENCH_10.json (bench_compare)"
 ./scripts/bench.sh --compare BENCH_9.json BENCH_10.json >/dev/null
+
+echo "==> benchmark on this tree: every perfbench workload, 2 s, output checks pass"
+# Each workload checks its own outputs (served results against the library
+# run_campaign byte for byte, the traced loop against MissionRunner::run)
+# and reports them in the JSON object on its last line.
+for workload in golden_replan farm_protected served_campaigns; do
+  result=$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+             --workload "$workload" --seconds 2 --trace 0 | tail -n 1)
+  case "$result" in
+    *'"correct": true'*) ;;
+    *)
+      echo "  $workload: output checks failed: $result"
+      exit 1
+      ;;
+  esac
+done
 
 echo "==> markdown relative links resolve (README.md, docs/, CHANGES.md)"
 broken=0

@@ -1,19 +1,8 @@
-//! Batched lockstep execution equivalence: the tentpole property of
-//! `MissionBatch` is that stepping N missions tick-by-tick together — with
-//! one matrix-matrix detector pass per stage and shared depth-capture
-//! culling per environment — is **bit-identical** to flying each mission
-//! alone through `MissionRunner`.
-//!
-//! Three angles:
-//!
-//! * a mixed batch (seeds × environments × fault stages × protections in
-//!   one `MissionBatch`) versus per-mission sequential runs;
-//! * full campaigns through the batched `CampaignExecutor::run_campaign`
-//!   versus `run_campaign_sequential`, across batch sizes and worker
-//!   counts;
-//! * a recorded sequential trace standing as the digest of the batched
-//!   flight: the batched outcome equals the recorded one and the trace
-//!   replays to a tick-for-tick match.
+//! Checkpoint chunk size is invisible in campaign results: a campaign run
+//! through `CampaignExecutor::run_campaign` with any chunk size
+//! (`with_batch_size`, campaign jobs per checkpoint chunk) and any worker
+//! count assembles exactly the campaign of the serial, one-job-per-chunk
+//! reference.
 
 use mavfi_suite::prelude::*;
 
@@ -25,44 +14,8 @@ fn quick_detectors() -> TrainedDetectors {
     (*TrainedDetectorCache::global().get_or_train(EnvironmentKind::Randomized, &training)).clone()
 }
 
-/// One mixed batch covering 3 seeds × {Sparse, Dense} × all fault stages ×
-/// all protection schemes (plus a golden run per environment/seed), compared
-/// mission-for-mission against the sequential runner.
-#[test]
-fn mixed_batch_is_bit_identical_to_sequential_runs() {
-    let detectors = quick_detectors();
-    let mut missions = Vec::new();
-    for environment in [EnvironmentKind::Sparse, EnvironmentKind::Dense] {
-        for seed in [3_u64, 8, 21] {
-            let spec = MissionSpec::new(environment, seed).with_time_budget(40.0);
-            missions.push(BatchMission::golden(spec));
-            for (offset, stage) in Stage::ALL.into_iter().enumerate() {
-                let fault =
-                    FaultSpec::new(InjectionTarget::Stage(stage), 25, seed + 7 * offset as u64);
-                for protection in Protection::ALL {
-                    missions.push(BatchMission { spec, fault: Some(fault), protection });
-                }
-            }
-        }
-    }
-
-    let outcomes = MissionBatch::new(&missions, Some(&detectors)).unwrap().run_to_completion();
-    assert_eq!(outcomes.len(), missions.len());
-    for (mission, outcome) in missions.iter().zip(&outcomes) {
-        let expected = MissionRunner::new(mission.spec)
-            .run(mission.fault, mission.protection, Some(&detectors))
-            .expect("sequential reference run");
-        assert_eq!(
-            *outcome, expected,
-            "batched outcome diverged from sequential: {:?} seed {} fault {:?} under {:?}",
-            mission.spec.environment, mission.spec.seed, mission.fault, mission.protection
-        );
-    }
-}
-
-/// The batched campaign engine assembles the exact same campaign as the
-/// per-mission sequential baseline for every batch size and worker count
-/// the acceptance criteria name.
+/// The campaign engine assembles the exact same campaign as the serial,
+/// one-job-per-chunk reference for every chunk size and worker count.
 #[test]
 fn batched_campaigns_match_sequential_for_every_batch_size_and_worker_count() {
     let detectors = quick_detectors();
@@ -74,42 +27,17 @@ fn batched_campaigns_match_sequential_for_every_batch_size_and_worker_count() {
         mission_time_budget: 40.0,
     };
     let scheme = SchemeConfig::trained(detectors);
-    let sequential = CampaignExecutor::new(1).run_campaign_sequential(&config, &scheme).unwrap();
+    let sequential = CampaignExecutor::with_pool(WorkerPool::serial())
+        .with_batch_size(1)
+        .run_campaign(&config, &scheme)
+        .unwrap();
     for workers in [1_usize, 2, 8] {
         for batch in [1_usize, 8, 32, 128] {
-            let batched = CampaignExecutor::new(workers)
+            let chunked = CampaignExecutor::new(workers)
                 .with_batch_size(batch)
                 .run_campaign(&config, &scheme)
                 .unwrap();
-            assert_eq!(batched, sequential, "campaign diverged at workers {workers} batch {batch}");
+            assert_eq!(chunked, sequential, "campaign diverged at workers {workers} batch {batch}");
         }
     }
-}
-
-/// A trace recorded from the sequential runner is a valid digest of the
-/// batched flight: the same mission flown inside a mixed batch produces a
-/// bit-identical outcome, and the recording replays to a match.
-#[test]
-fn recorded_batched_mission_matches_sequential_trace_replay() {
-    let detectors = quick_detectors();
-    let spec = MissionSpec::new(EnvironmentKind::Sparse, 5).with_time_budget(60.0);
-    let fault = FaultSpec::new(InjectionTarget::Stage(Stage::Planning), 25, 11);
-    let (sequential, trace) = MissionRunner::new(spec)
-        .run_recorded(Some(fault), Protection::Autoencoder, Some(&detectors), None)
-        .unwrap();
-
-    // The recorded mission flown inside a batch (a golden batch-mate keeps
-    // the lockstep driver honest about divergence) is bit-identical...
-    let missions = [
-        BatchMission { spec, fault: Some(fault), protection: Protection::Autoencoder },
-        BatchMission::golden(spec),
-    ];
-    let outcomes = MissionBatch::new(&missions, Some(&detectors)).unwrap().run_to_completion();
-    assert_eq!(outcomes[0], sequential, "batched flight diverged from the recorded sequential one");
-
-    // ...so the sequential recording stands as the batched run's digest:
-    // it replays to a tick-for-tick match.
-    let report = ReplayHarness::new(&trace).with_detectors(&detectors).replay().unwrap();
-    assert!(report.is_match(), "trace replay diverged: {:?}", report.divergence);
-    assert_eq!(report.ticks, outcomes[0].pipeline.ticks);
 }

@@ -1,7 +1,7 @@
 //! The parallel campaign executor must be invisible in the results: the same
-//! campaign run with 1, 2 and 8 workers produces identical
-//! [`SettingResult`]s — QoF metrics, summaries, recomputation tallies and
-//! fault plans.
+//! campaign run with 1, 2 and 8 workers (and any checkpoint chunk size)
+//! produces identical [`SettingResult`]s — QoF metrics, summaries,
+//! recomputation tallies and fault plans.
 
 use std::sync::{Arc, OnceLock};
 
@@ -102,13 +102,17 @@ fn property_baseline() -> &'static (Arc<TrainedDetectors>, CampaignConfig, Envir
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// For any worker count, [`CampaignExecutor`] yields the same
-    /// [`QofSummary`] (and in fact the same full campaign) as the
-    /// sequential path for the same `base_seed`.
+    /// For any worker count and checkpoint chunk size, [`CampaignExecutor`]
+    /// yields the same [`QofSummary`] (and in fact the same full campaign)
+    /// as the sequential path for the same `base_seed`.
     #[test]
-    fn any_worker_count_matches_the_sequential_summaries(workers in 2usize..=12) {
+    fn any_worker_count_matches_the_sequential_summaries(
+        workers in 2usize..=12,
+        chunk in 1usize..=8,
+    ) {
         let (detectors, config, sequential) = property_baseline();
         let parallel = CampaignExecutor::new(workers)
+            .with_batch_size(chunk)
             .run_campaign(config, &SchemeConfig::shared(Arc::clone(detectors)))
             .expect("parallel campaign");
         for (ours, reference) in parallel.settings().into_iter().zip(sequential.settings()) {

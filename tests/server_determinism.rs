@@ -22,10 +22,10 @@ fn quick_request(seed: u64, batch_size: usize) -> CampaignRequest {
     request
 }
 
-/// The library reference for `seed`, serialized once: batch size and worker
+/// The library reference for `seed`, serialized once: chunk size and worker
 /// count are already proven result-neutral for the library path
-/// (`tests/batch_equivalence.rs`, `tests/parallel_determinism.rs`), so one
-/// reference per seed covers the whole matrix.
+/// (`tests/parallel_determinism.rs`), so one reference per seed covers the
+/// whole matrix.
 fn reference_json(seed: u64) -> &'static str {
     static REFERENCES: OnceLock<[(u64, String); 3]> = OnceLock::new();
     let references = REFERENCES.get_or_init(|| {

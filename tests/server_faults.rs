@@ -12,6 +12,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
+use mavfi_suite::mavfi::serve::{CampaignCheckpoint, CHECKPOINT_EXTENSION};
 use mavfi_suite::mavfi_middleware::prelude::*;
 use mavfi_suite::prelude::*;
 
@@ -242,6 +243,32 @@ fn corrupt_checkpoints_surface_as_typed_errors_and_resubmission_recovers() {
     assert!(!ticket.duplicate, "the job restarts from scratch");
     let result = drive_to_completion(&server, &bus, &client, job_id);
     assert_eq!(*result, reference, "recovery reproduces the reference bit-for-bit");
+}
+
+#[test]
+fn a_checkpoint_with_a_zero_batch_size_is_reported_corrupt() {
+    // Admission always pins a non-zero chunk size, so a zero can only come
+    // from a damaged or foreign store; resuming it would re-resolve the
+    // chunk size and could shift the chunk boundaries.
+    let dir = fresh_dir("zero_batch");
+    let mut request = quick_request(905);
+    request.batch_size = 0;
+    let checkpoint = CampaignCheckpoint {
+        request,
+        chunks_done: 1,
+        state: CampaignFoldState::new(&request.config),
+    };
+    checkpoint
+        .save(&dir.join(format!("{:016x}.{CHECKPOINT_EXTENSION}", checkpoint.job_id())))
+        .expect("write checkpoint");
+
+    let server = CampaignServer::new(CampaignExecutor::new(2), dir).expect("create server");
+    assert_eq!(server.job_count(), 0, "the zero-size job must not be resumed");
+    let errors = server.recovery_errors();
+    assert!(
+        matches!(errors.as_slice(), [ServerError::CheckpointCorrupt { .. }]),
+        "one typed corruption error: {errors:?}"
+    );
 }
 
 #[test]
