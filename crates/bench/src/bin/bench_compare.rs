@@ -21,13 +21,15 @@ use serde::Value;
 const REGRESSION_LIMIT: f64 = 0.25;
 
 /// The metrics the gate protects: the closed-loop throughput numbers the
-/// performance docs headline, one per bench that records them.
+/// performance docs headline, one per bench that records them, plus the
+/// RRT* replan latency that dominates golden-mission wall time.
 const HEADLINES: &[(&str, &str)] = &[
     ("fig3_kernel_sensitivity", "ticks_per_sec"),
     ("table2_overhead", "protected_ticks_per_sec"),
     ("detector_micro", "aad_score_scratch"),
     ("replay_micro", "replay_ticks_per_sec"),
     ("worker_scaling", "sequential_protected_ticks_per_sec"),
+    ("replan_micro", "rrtstar_plan_into"),
 ];
 
 /// One log's latest value and unit per `(bench, metric)`, in first-seen

@@ -1,4 +1,4 @@
-//! Pooled voxel-bucketed spatial index over RRT-family tree nodes.
+//! Pooled dense-cell spatial index over RRT-family tree nodes.
 //!
 //! The three sampling-based planners ask two questions per iteration:
 //! *which tree node is nearest to this sample?* (every planner) and *which
@@ -8,12 +8,17 @@
 //! ~856 ms it spent per replan on a mission-observed Dense grid
 //! (`BENCH_5.json`; `BENCH_7.json` has the indexed-vs-linear numbers).
 //!
-//! [`NnIndex`] replaces the scans with a uniform voxel grid over node
-//! positions, keyed by the same deterministic [`VoxelHasher`] convention as
-//! the occupancy grid and sized so one cell edge is the planner's
-//! `step_size` (new nodes land at most one step from an existing node, so
-//! the nearest node is almost always within the first shell searched).  Its
-//! contract is **bit-identical results** to the linear scans it replaces:
+//! [`NnIndex`] replaces the scans with a uniform grid over node positions:
+//! a node lives in the cell `floor(position / cell_size)` per axis (the
+//! occupancy grid's [`VoxelKey`] convention), and the cell edge is the
+//! planner's `step_size` (new nodes land at most one step from an existing
+//! node, so the nearest node is almost always within the first shell
+//! searched).  The cells of a caller-given *region* — the planner's
+//! sampling bounds grown to contain its start and goal, padded by one cell
+//! on each side — form a flat table of bucket heads; a node whose cell lies
+//! outside that table goes onto a single overflow chain that every query
+//! scans, so results never depend on the region.  Its contract is
+//! **bit-identical results** to the linear scans it replaces:
 //!
 //! * [`NnIndex::nearest`] returns the node index that minimises the exact
 //!   same `Vec3::distance` the linear scan computes, breaking exact
@@ -31,29 +36,47 @@
 //! (`docs/PERFORMANCE.md`): the planner owns one `NnIndex` for the lifetime
 //! of the planner, [`NnIndex::reset`] clears it while keeping every
 //! allocation, and inserts are incremental (no rebuilds, no rebalancing),
-//! so a warm planner's replans touch the allocator only when a tree grows
-//! past all previous high-water marks.  Buckets are intrusive singly-linked
-//! lists (`head` per cell, `next` per node) rather than per-cell `Vec`s, so
-//! clearing the index never drops bucket storage.
+//! so a warm planner's replans touch the allocator only when a tree or a
+//! region grows past all previous high-water marks.  Buckets are intrusive
+//! singly-linked lists (`head` per cell, `next` per node) rather than
+//! per-cell `Vec`s, and `reset` empties only the cells the previous tree
+//! used — O(previous nodes), not O(region) — so the table is all-empty
+//! between trees and a new region merely resizes it.
 
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use mavfi_sim::geometry::{Aabb, Vec3};
 
-use mavfi_sim::geometry::Vec3;
-
-use crate::perception::occupancy::{VoxelHasher, VoxelKey};
+use crate::perception::occupancy::VoxelKey;
 
 /// Sentinel for "no node" in the intrusive bucket lists.
 const NONE: u32 = u32::MAX;
 
-/// Trees smaller than this are scanned linearly inside [`NnIndex::nearest`]:
-/// a linear scan is a branch-predictable ~1 ns/node sweep while a shell walk
-/// costs a few microseconds of cell probing, so the walk only wins once the
-/// tree outgrows the crossover (measured on the `replan_micro` Dense-grid
-/// workload; planners that connect quickly, like RRT-Connect on open grids,
-/// never leave the linear regime).  The result is bit-identical either way —
-/// this is a latency knob, not a behaviour knob.
-const LINEAR_NEAREST_CUTOFF: usize = 2048;
+/// Trees of at most this many nodes are scanned linearly inside
+/// [`NnIndex::nearest`]: a linear scan is a branch-predictable ~1 ns/node
+/// sweep, while a shell walk pays per cell visited.  The value is measured:
+/// RRT* plans on Dense 3, Sparse 4 and Dense 8 (ground-truth obstacles, two
+/// plans each, 30 rounds with the cutoffs interleaved, 2-vCPU VM) took, as
+/// the median per-round ratio to a cutoff of 256, 1.23 at 2048 (the value
+/// chosen when each walked cell cost a hash probe), 0.98 at 512, 0.99 at
+/// 128 and 0.98 at 0 (always walk).  The optimum is flat below ~512 because
+/// the walk only visits cells inside the occupied box; 256 sits in the
+/// middle of it.  Planners that connect quickly, like RRT-Connect on open
+/// grids, stay in the linear regime.  The result is bit-identical either
+/// way — this is a latency knob, not a behaviour knob.
+const LINEAR_NEAREST_CUTOFF: usize = 256;
+
+/// Most cells the table may have; a larger region gets no table at all, so
+/// every node goes onto the overflow chain (still exact, just linear).
+/// Planner regions are a few thousand cells.
+const MAX_TABLE_CELLS: f64 = (1u64 << 20) as f64;
+
+/// Largest magnitude of a table corner's cell coordinate.  Keeping the
+/// table (and so every occupied table cell) this close to the origin lets
+/// the shell walk subtract cell coordinates without overflow.
+const MAX_TABLE_KEY: f64 = (1u64 << 40) as f64;
+
+/// Largest magnitude of a query cell coordinate the shell walk accepts;
+/// farther queries take the linear scan.
+const MAX_WALK_KEY: u64 = 1 << 41;
 
 /// A pooled, incrementally built uniform-grid index over points, returning
 /// nearest-neighbour and radius queries bit-identical to linear scans.
@@ -65,11 +88,12 @@ const LINEAR_NEAREST_CUTOFF: usize = 2048;
 ///
 /// ```
 /// use mavfi_ppc::planning::NnIndex;
-/// use mavfi_sim::geometry::Vec3;
+/// use mavfi_sim::geometry::{Aabb, Vec3};
 ///
 /// let mut index = NnIndex::new();
-/// index.reset(2.5);
+/// index.reset(2.5, Aabb::new(Vec3::splat(-5.0), Vec3::splat(5.0)));
 /// index.insert(Vec3::ZERO);
+/// // Outside the region: kept on the overflow chain, found all the same.
 /// index.insert(Vec3::new(10.0, 0.0, 0.0));
 /// assert_eq!(index.nearest(Vec3::new(8.0, 0.0, 0.0)), 1);
 /// let mut out = Vec::new();
@@ -80,14 +104,22 @@ const LINEAR_NEAREST_CUTOFF: usize = 2048;
 pub struct NnIndex {
     /// Cell edge length (m); planners use their `step_size`.
     cell_size: f64,
-    /// Cell → index of the most recently inserted node in that cell.
-    heads: HashMap<VoxelKey, u32, BuildHasherDefault<VoxelHasher>>,
-    /// Intrusive per-cell chain: `next[i]` is the node inserted into `i`'s
-    /// cell just before `i` (or [`NONE`]).
+    /// Cell of table slot 0: the region's lowest cell minus the pad.
+    origin: VoxelKey,
+    /// Table extent in cells along x, y and z (zero when the region could
+    /// not be tabled).
+    dims: [i64; 3],
+    /// Dense cell table, z fastest: index of the most recently inserted
+    /// node in each cell, or [`NONE`].
+    heads: Vec<u32>,
+    /// Most recently inserted node whose cell lies outside the table.
+    overflow: u32,
+    /// Intrusive chains: `next[i]` is the node inserted into `i`'s cell (or
+    /// the overflow chain) just before `i`, or [`NONE`].
     next: Vec<u32>,
     /// Node positions in insertion order (the planners' node indices).
     positions: Vec<Vec3>,
-    /// Bounding box of occupied cells, for clamping shell walks.
+    /// Bounding box of occupied table cells, for clamping shell walks.
     min_cell: VoxelKey,
     max_cell: VoxelKey,
 }
@@ -99,12 +131,16 @@ impl Default for NnIndex {
 }
 
 impl NnIndex {
-    /// Creates an empty index with a 1 m cell (call [`NnIndex::reset`] with
-    /// the real cell size before inserting).
+    /// Creates an empty index with a 1 m cell and no table (call
+    /// [`NnIndex::reset`] with the real cell size and region before
+    /// inserting).
     pub fn new() -> Self {
         Self {
             cell_size: 1.0,
-            heads: HashMap::default(),
+            origin: VoxelKey { x: 0, y: 0, z: 0 },
+            dims: [0; 3],
+            heads: Vec::new(),
+            overflow: NONE,
             next: Vec::new(),
             positions: Vec::new(),
             min_cell: VoxelKey { x: i64::MAX, y: i64::MAX, z: i64::MAX },
@@ -113,15 +149,44 @@ impl NnIndex {
     }
 
     /// Clears the index for a new tree, keeping every allocation, and sets
-    /// the cell edge length.
+    /// the cell edge length and the region the cell table covers.
+    ///
+    /// The region only decides where nodes are stored: a node outside it
+    /// (or a region too large or not finite to table) is kept on the
+    /// overflow chain, which every query scans, so query results never
+    /// depend on it.  Clearing costs O(nodes of the previous tree).
     ///
     /// # Panics
     ///
     /// Panics if `cell_size` is not positive and finite.
-    pub fn reset(&mut self, cell_size: f64) {
+    pub fn reset(&mut self, cell_size: f64, region: Aabb) {
         assert!(cell_size > 0.0 && cell_size.is_finite(), "cell size must be positive");
+        // Empty the previous tree's cells, under the layout they were
+        // inserted with; every slot is then `NONE`.
+        for node in 0..self.positions.len() {
+            if let Some(slot) = self.slot(self.key_for(self.positions[node])) {
+                self.heads[slot] = NONE;
+            }
+        }
         self.cell_size = cell_size;
-        self.heads.clear();
+        // Region cells padded by one on each side, in f64 so that a huge or
+        // non-finite region is rejected before any integer conversion.
+        let (min, max) = (region.min, region.max);
+        let lo = [min.x, min.y, min.z].map(|v| (v / cell_size).floor() - 1.0);
+        let hi = [max.x, max.y, max.z].map(|v| (v / cell_size).floor() + 1.0);
+        let extent = [0, 1, 2].map(|axis| hi[axis] - lo[axis] + 1.0);
+        let tabled = lo.iter().chain(&hi).all(|cell| cell.abs() <= MAX_TABLE_KEY)
+            && extent.iter().all(|&cells| cells >= 1.0)
+            && extent.iter().product::<f64>() <= MAX_TABLE_CELLS;
+        if tabled {
+            self.origin = VoxelKey { x: lo[0] as i64, y: lo[1] as i64, z: lo[2] as i64 };
+            self.dims = extent.map(|cells| cells as i64);
+        } else {
+            self.dims = [0; 3];
+        }
+        let [dx, dy, dz] = self.dims;
+        self.heads.resize((dx * dy * dz) as usize, NONE);
+        self.overflow = NONE;
         self.next.clear();
         self.positions.clear();
         self.min_cell = VoxelKey { x: i64::MAX, y: i64::MAX, z: i64::MAX };
@@ -151,6 +216,22 @@ impl NnIndex {
         }
     }
 
+    /// Table slot of `key`, or `None` when the cell lies outside the table.
+    fn slot(&self, key: VoxelKey) -> Option<usize> {
+        let [dx, dy, dz] = self.dims;
+        let inside = |cell: i64, origin: i64, extent: i64| cell >= origin && cell < origin + extent;
+        (inside(key.x, self.origin.x, dx)
+            && inside(key.y, self.origin.y, dy)
+            && inside(key.z, self.origin.z, dz))
+        .then(|| self.table_slot(key.x, key.y, key.z))
+    }
+
+    /// Table slot of a cell known to lie inside the table.
+    fn table_slot(&self, x: i64, y: i64, z: i64) -> usize {
+        let [_, dy, dz] = self.dims;
+        (((x - self.origin.x) * dy + (y - self.origin.y)) * dz + (z - self.origin.z)) as usize
+    }
+
     /// Inserts a point and returns its index (insertion order, matching the
     /// caller's tree indices).
     pub fn insert(&mut self, position: Vec3) -> usize {
@@ -158,36 +239,32 @@ impl NnIndex {
         let index = self.positions.len();
         assert!(index < NONE as usize, "index capacity exceeded");
         let key = self.key_for(position);
-        let previous_head = self.heads.insert(key, index as u32).unwrap_or(NONE);
-        self.next.push(previous_head);
+        let head = match self.slot(key) {
+            Some(slot) => {
+                self.min_cell.x = self.min_cell.x.min(key.x);
+                self.min_cell.y = self.min_cell.y.min(key.y);
+                self.min_cell.z = self.min_cell.z.min(key.z);
+                self.max_cell.x = self.max_cell.x.max(key.x);
+                self.max_cell.y = self.max_cell.y.max(key.y);
+                self.max_cell.z = self.max_cell.z.max(key.z);
+                &mut self.heads[slot]
+            }
+            None => &mut self.overflow,
+        };
+        self.next.push(std::mem::replace(head, index as u32));
         self.positions.push(position);
-        self.min_cell.x = self.min_cell.x.min(key.x);
-        self.min_cell.y = self.min_cell.y.min(key.y);
-        self.min_cell.z = self.min_cell.z.min(key.z);
-        self.max_cell.x = self.max_cell.x.max(key.x);
-        self.max_cell.y = self.max_cell.y.max(key.y);
-        self.max_cell.z = self.max_cell.z.max(key.z);
         index
     }
 
-    /// Considers every node bucketed under `key` as a nearest candidate.
-    fn scan_cell(&self, key: VoxelKey, query: Vec3, best_distance: &mut f64, best: &mut usize) {
-        if key.x < self.min_cell.x
-            || key.x > self.max_cell.x
-            || key.y < self.min_cell.y
-            || key.y > self.max_cell.y
-            || key.z < self.min_cell.z
-            || key.z > self.max_cell.z
-        {
-            return;
-        }
-        let Some(&head) = self.heads.get(&key) else { return };
+    /// Considers every node on the chain starting at `head` as a nearest
+    /// candidate.
+    fn scan_chain(&self, head: u32, query: Vec3, best_distance: &mut f64, best: &mut usize) {
         let mut node = head;
         while node != NONE {
             let candidate = node as usize;
             let distance = self.positions[candidate].distance(query);
             // Lowest-index tie-break: exactly `min_by`'s first-minimum-wins
-            // over an index-ordered scan, independent of bucket chain order.
+            // over an index-ordered scan, independent of chain order.
             if distance < *best_distance || (distance == *best_distance && candidate < *best) {
                 *best_distance = distance;
                 *best = candidate;
@@ -196,8 +273,8 @@ impl NnIndex {
         }
     }
 
-    /// Visits every cell whose Chebyshev distance (in cells) from `center`
-    /// is exactly `ring`.
+    /// Visits every occupied-box cell whose Chebyshev distance (in cells)
+    /// from `center` is exactly `ring`.
     fn scan_ring(
         &self,
         center: VoxelKey,
@@ -206,35 +283,56 @@ impl NnIndex {
         best_distance: &mut f64,
         best: &mut usize,
     ) {
+        let (lo, hi) = (self.min_cell, self.max_cell);
+        // Offsets `from..=to` around `center` on one axis, clipped to the
+        // occupied box (cells outside it hold no node).
+        let span = |center: i64, from: i64, to: i64, lo: i64, hi: i64| {
+            (center + from).max(lo)..=(center + to).min(hi)
+        };
+        let mut scan = |x: i64, y: i64, z: i64| {
+            self.scan_chain(self.heads[self.table_slot(x, y, z)], query, best_distance, best);
+        };
         if ring == 0 {
-            self.scan_cell(center, query, best_distance, best);
+            if (lo.x..=hi.x).contains(&center.x)
+                && (lo.y..=hi.y).contains(&center.y)
+                && (lo.z..=hi.z).contains(&center.z)
+            {
+                scan(center.x, center.y, center.z);
+            }
             return;
         }
         // Two full z faces, then the x and y side bands between them; every
-        // shell cell is visited exactly once, in a fixed deterministic order
-        // (the order is irrelevant to the result — `scan_cell` compares
+        // shell cell is visited at most once, in a fixed deterministic order
+        // (the order is irrelevant to the result — `scan_chain` compares
         // `(distance, index)` explicitly).
-        for dz in [-ring, ring] {
-            for dx in -ring..=ring {
-                for dy in -ring..=ring {
-                    let key = VoxelKey { x: center.x + dx, y: center.y + dy, z: center.z + dz };
-                    self.scan_cell(key, query, best_distance, best);
+        let inner = ring - 1;
+        for z in [center.z - ring, center.z + ring] {
+            if !(lo.z..=hi.z).contains(&z) {
+                continue;
+            }
+            for x in span(center.x, -ring, ring, lo.x, hi.x) {
+                for y in span(center.y, -ring, ring, lo.y, hi.y) {
+                    scan(x, y, z);
                 }
             }
         }
-        for dx in [-ring, ring] {
-            for dy in -ring..=ring {
-                for dz in (-ring + 1)..=(ring - 1) {
-                    let key = VoxelKey { x: center.x + dx, y: center.y + dy, z: center.z + dz };
-                    self.scan_cell(key, query, best_distance, best);
+        for x in [center.x - ring, center.x + ring] {
+            if !(lo.x..=hi.x).contains(&x) {
+                continue;
+            }
+            for y in span(center.y, -ring, ring, lo.y, hi.y) {
+                for z in span(center.z, -inner, inner, lo.z, hi.z) {
+                    scan(x, y, z);
                 }
             }
         }
-        for dy in [-ring, ring] {
-            for dx in (-ring + 1)..=(ring - 1) {
-                for dz in (-ring + 1)..=(ring - 1) {
-                    let key = VoxelKey { x: center.x + dx, y: center.y + dy, z: center.z + dz };
-                    self.scan_cell(key, query, best_distance, best);
+        for y in [center.y - ring, center.y + ring] {
+            if !(lo.y..=hi.y).contains(&y) {
+                continue;
+            }
+            for x in span(center.x, -inner, inner, lo.x, hi.x) {
+                for z in span(center.z, -inner, inner, lo.z, hi.z) {
+                    scan(x, y, z);
                 }
             }
         }
@@ -249,20 +347,35 @@ impl NnIndex {
     /// Panics if the index is empty.
     pub fn nearest(&self, query: Vec3) -> usize {
         assert!(!self.positions.is_empty(), "nearest query on an empty index");
+        if self.positions.len() > LINEAR_NEAREST_CUTOFF {
+            let center = self.key_for(query);
+            if [center.x, center.y, center.z].iter().all(|c| c.unsigned_abs() <= MAX_WALK_KEY) {
+                return self.walk_nearest(query, center);
+            }
+        }
         let mut best_distance = f64::INFINITY;
         let mut best = usize::MAX;
-        if self.positions.len() <= LINEAR_NEAREST_CUTOFF {
-            for (candidate, position) in self.positions.iter().enumerate() {
-                let distance = position.distance(query);
-                if distance < best_distance {
-                    best_distance = distance;
-                    best = candidate;
-                }
+        for (candidate, position) in self.positions.iter().enumerate() {
+            let distance = position.distance(query);
+            if distance < best_distance {
+                best_distance = distance;
+                best = candidate;
             }
+        }
+        best
+    }
+
+    /// [`NnIndex::nearest`] by the overflow chain plus a shell walk over
+    /// the table outward from `center`, the query's cell.
+    fn walk_nearest(&self, query: Vec3, center: VoxelKey) -> usize {
+        let mut best_distance = f64::INFINITY;
+        let mut best = usize::MAX;
+        self.scan_chain(self.overflow, query, &mut best_distance, &mut best);
+        if self.min_cell.x > self.max_cell.x {
+            // Every node is on the overflow chain.
             return best;
         }
 
-        let center = self.key_for(query);
         // Furthest shell that can still contain an occupied cell.
         let max_ring = [
             (center.x - self.min_cell.x).max(self.max_cell.x - center.x),
@@ -276,8 +389,7 @@ impl NnIndex {
 
         // Nearest shell that contains any occupied cell: rings below the
         // query cell's Chebyshev distance to the occupied bounding box are
-        // entirely out of bounds, so the walk can start there instead of
-        // enumerating O(ring²) empty cells per skipped ring (samples land
+        // entirely out of bounds, so the walk can start there (samples land
         // far outside the tree early in a plan).
         let start_ring = [
             (self.min_cell.x - center.x).max(center.x - self.max_cell.x),
@@ -310,11 +422,18 @@ impl NnIndex {
     /// linear filter produces.  `out` is cleared first (clear-then-fill).
     pub fn within_radius(&self, query: Vec3, radius: f64, out: &mut Vec<usize>) {
         out.clear();
-        if self.positions.is_empty() {
-            return;
+        let mut node = self.overflow;
+        while node != NONE {
+            let candidate = node as usize;
+            if self.positions[candidate].distance(query) <= radius {
+                out.push(candidate);
+            }
+            node = self.next[candidate];
         }
         let lo = self.key_for(query - Vec3::splat(radius));
         let hi = self.key_for(query + Vec3::splat(radius));
+        // Clipped to the occupied box, so every visited cell is a table
+        // slot (the ranges are empty when no node is in the table).
         let x_range = lo.x.max(self.min_cell.x)..=hi.x.min(self.max_cell.x);
         let y_range = lo.y.max(self.min_cell.y)..=hi.y.min(self.max_cell.y);
         let z_range = lo.z.max(self.min_cell.z)..=hi.z.min(self.max_cell.z);
@@ -341,8 +460,7 @@ impl NnIndex {
                     if xy_gap_sq + axis_gap_sq(z, query.z) > prune_sq {
                         continue;
                     }
-                    let Some(&head) = self.heads.get(&VoxelKey { x, y, z }) else { continue };
-                    let mut node = head;
+                    let mut node = self.heads[self.table_slot(x, y, z)];
                     while node != NONE {
                         let candidate = node as usize;
                         if self.positions[candidate].distance(query) <= radius {
@@ -382,17 +500,18 @@ mod tests {
             .collect()
     }
 
-    /// A deterministic, clumpy point set (clumps force multi-node buckets).
-    fn test_points() -> Vec<Vec3> {
+    /// A deterministic, clumpy point set of `count` base points (clumps
+    /// force multi-node buckets), with a duplicate of an earlier point after
+    /// every 10th: exact-tie territory.
+    fn clumpy_points(count: i64) -> Vec<Vec3> {
         let mut points = Vec::new();
-        for i in 0..120_i64 {
+        for i in 0..count {
             let f = i as f64;
             points.push(Vec3::new(
                 (f * 0.73).sin() * 20.0,
                 (f * 1.31).cos() * 15.0,
                 (f * 0.17).sin() * 6.0 + 3.0,
             ));
-            // A duplicate every 10th point: exact-tie territory.
             if i % 10 == 0 {
                 points.push(points[i as usize / 2]);
             }
@@ -400,19 +519,47 @@ mod tests {
         points
     }
 
+    fn test_points() -> Vec<Vec3> {
+        clumpy_points(120)
+    }
+
+    /// A region covering every point of [`clumpy_points`].
+    fn covering_region() -> Aabb {
+        Aabb::new(Vec3::new(-20.0, -15.0, -3.0), Vec3::new(20.0, 15.0, 9.0))
+    }
+
+    fn query(i: i64) -> Vec3 {
+        let f = i as f64;
+        Vec3::new((f * 0.91).cos() * 25.0, (f * 0.47).sin() * 18.0, (f * 0.29).cos() * 8.0)
+    }
+
+    fn filled(cell_size: f64, region: Aabb, points: &[Vec3]) -> NnIndex {
+        let mut index = NnIndex::new();
+        index.reset(cell_size, region);
+        for &point in points {
+            index.insert(point);
+        }
+        index
+    }
+
+    /// Asserts both queries agree with the linear references at `queries`.
+    fn assert_agrees(index: &NnIndex, points: &[Vec3], queries: impl Iterator<Item = Vec3>) {
+        let mut out = Vec::new();
+        for query in queries {
+            assert_eq!(index.nearest(query), linear_nearest(points, query), "nearest {query:?}");
+            for radius in [0.0, 1.0, 5.0, 12.0] {
+                index.within_radius(query, radius, &mut out);
+                assert_eq!(out, linear_within(points, query, radius), "{query:?} r={radius}");
+            }
+        }
+    }
+
     #[test]
     fn nearest_matches_linear_scan_with_ties() {
         let points = test_points();
-        let mut index = NnIndex::new();
-        index.reset(2.5);
-        for &point in &points {
-            index.insert(point);
-        }
+        let index = filled(2.5, covering_region(), &points);
         for i in 0..200_i64 {
-            let f = i as f64;
-            let query =
-                Vec3::new((f * 0.91).cos() * 25.0, (f * 0.47).sin() * 18.0, (f * 0.29).cos() * 8.0);
-            assert_eq!(index.nearest(query), linear_nearest(&points, query), "query {i}");
+            assert_eq!(index.nearest(query(i)), linear_nearest(&points, query(i)), "query {i}");
         }
         // Query exactly on a duplicated position: the tie must go to the
         // lower index.
@@ -423,11 +570,7 @@ mod tests {
     #[test]
     fn within_radius_matches_linear_filter_order_and_content() {
         let points = test_points();
-        let mut index = NnIndex::new();
-        index.reset(2.5);
-        for &point in &points {
-            index.insert(point);
-        }
+        let index = filled(2.5, covering_region(), &points);
         let mut out = Vec::new();
         for i in 0..60_i64 {
             let f = i as f64;
@@ -444,7 +587,7 @@ mod tests {
     fn incremental_inserts_keep_agreeing() {
         let points = test_points();
         let mut index = NnIndex::new();
-        index.reset(1.5);
+        index.reset(1.5, covering_region());
         let mut inserted = Vec::new();
         let mut out = Vec::new();
         for &point in &points {
@@ -457,18 +600,86 @@ mod tests {
         }
     }
 
+    /// Past the linear cutoff `nearest` walks cell shells; with duplicates
+    /// and queries on duplicated points the walk must keep the
+    /// lowest-index tie-break.
+    #[test]
+    fn shell_walk_past_the_cutoff_matches_linear_scan() {
+        let points = clumpy_points(600);
+        assert!(points.len() > LINEAR_NEAREST_CUTOFF);
+        for cell_size in [0.7, 2.5, 6.0] {
+            let index = filled(cell_size, covering_region(), &points);
+            assert_agrees(&index, &points, (0..150).map(query));
+            assert_agrees(&index, &points, points.iter().step_by(37).copied());
+        }
+    }
+
+    /// Nodes outside the region live on the overflow chain: with regions
+    /// that cover part of the points, none of them, or all but the first
+    /// node, and with queries far outside, results equal the linear scans.
+    #[test]
+    fn overflow_chain_keeps_results_region_independent() {
+        let points = clumpy_points(600);
+        let far_queries = [Vec3::new(90.0, -70.0, 40.0), Vec3::new(-1e6, 0.0, 3.0)];
+        let regions = [
+            // The half-space x < 0 only.
+            Aabb::new(Vec3::new(-20.0, -15.0, -3.0), Vec3::new(0.0, 15.0, 9.0)),
+            // Away from every point: all on the overflow chain.
+            Aabb::new(Vec3::splat(100.0), Vec3::splat(110.0)),
+            // Covers the points but not the first one.
+            Aabb::new(points[0] + Vec3::splat(0.5), Vec3::new(20.0, 15.0, 9.0)),
+            // Too many cells to table, and not finite.
+            Aabb::new(Vec3::splat(-1e9), Vec3::splat(1e9)),
+            Aabb { min: Vec3::splat(f64::NEG_INFINITY), max: Vec3::splat(f64::NAN) },
+        ];
+        for region in regions {
+            for count in [points.len() / 10, points.len()] {
+                let index = filled(2.5, region, &points[..count]);
+                let queries = (0..80).map(query).chain(far_queries);
+                assert_agrees(&index, &points[..count], queries);
+            }
+        }
+    }
+
     #[test]
     fn reset_reuses_storage_and_changes_cell_size() {
         let mut index = NnIndex::new();
-        index.reset(2.0);
+        index.reset(2.0, covering_region());
         index.insert(Vec3::ZERO);
         index.insert(Vec3::new(9.0, 0.0, 0.0));
         assert_eq!(index.len(), 2);
-        index.reset(0.5);
+        index.reset(0.5, covering_region());
         assert!(index.is_empty());
         assert_eq!(index.cell_size(), 0.5);
         assert_eq!(index.insert(Vec3::new(1.0, 1.0, 1.0)), 0);
         assert_eq!(index.nearest(Vec3::ZERO), 0);
+    }
+
+    /// One instance reset through regions of different sizes and cell
+    /// sizes: no stale bucket of an earlier tree may leak into a later one.
+    #[test]
+    fn reset_across_regions_of_different_sizes() {
+        let points = clumpy_points(400);
+        let mut index = NnIndex::new();
+        let small = Aabb::new(Vec3::splat(-4.0), Vec3::splat(4.0));
+        for (cell_size, region, count) in [
+            (2.5, covering_region(), 400),
+            (1.0, small, 300),
+            (2.5, covering_region().inflated(30.0), 120),
+            (0.5, covering_region(), 400),
+            (2.5, small, 50),
+        ] {
+            let count = count.min(points.len());
+            // Shift each round's points so a stale head would point at a
+            // node that is not where the new tree puts it.
+            let shifted: Vec<Vec3> =
+                points[..count].iter().map(|&p| p + Vec3::splat(cell_size * 0.3)).collect();
+            index.reset(cell_size, region);
+            for (expected, &point) in shifted.iter().enumerate() {
+                assert_eq!(index.insert(point), expected);
+            }
+            assert_agrees(&index, &shifted, (0..60).map(query));
+        }
     }
 
     #[test]

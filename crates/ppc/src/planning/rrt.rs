@@ -1,6 +1,6 @@
 //! Baseline rapidly-exploring random tree (RRT) planner.
 
-use mavfi_sim::geometry::Vec3;
+use mavfi_sim::geometry::{Aabb, Vec3};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -45,6 +45,16 @@ pub(crate) fn sample_point(rng: &mut StdRng, config: &PlannerConfig, goal: Vec3)
         rng.gen_range(bounds.min.y..=bounds.max.y),
         rng.gen_range(bounds.min.z..=bounds.max.z),
     )
+}
+
+/// The region an RRT-family planner's [`NnIndex`] tables: the sampling
+/// bounds grown to contain `start` and `goal`.  A sample lies in the bounds
+/// or is the goal (goal bias), and `steer` moves from a tree node towards a
+/// sample or the other tree, so every node is a convex combination of
+/// these points; only rounding can put one outside, onto the index's
+/// overflow chain.
+pub(crate) fn index_region(bounds: Aabb, start: Vec3, goal: Vec3) -> Aabb {
+    Aabb { min: bounds.min.min(start).min(goal), max: bounds.max.max(start).max(goal) }
 }
 
 /// Index of the tree node nearest to `point`.
@@ -170,7 +180,7 @@ impl MotionPlanner for Rrt {
         self.nodes.clear();
         self.nodes.push(TreeNode { position: start, parent: None });
         if self.use_index {
-            self.index.reset(self.config.step_size);
+            self.index.reset(self.config.step_size, index_region(self.config.bounds, start, goal));
             self.index.insert(start);
         }
         for _ in 0..self.config.max_iterations {

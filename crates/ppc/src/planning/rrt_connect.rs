@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use crate::kernel::KernelId;
 use crate::planning::nn_index::NnIndex;
 use crate::planning::rrt::{
-    nearest, sample_point, steer, trace_leafward_into, trace_path_into, TreeNode,
+    index_region, nearest, sample_point, steer, trace_leafward_into, trace_path_into, TreeNode,
 };
 use crate::planning::space::{MotionPlanner, ObstacleModel, PlannedPath, PlannerConfig};
 
@@ -147,9 +147,10 @@ impl MotionPlanner for RrtConnect {
         self.goal_tree.clear();
         self.goal_tree.push(TreeNode { position: goal, parent: None });
         if self.use_index {
-            self.start_index.reset(config.step_size);
+            let region = index_region(config.bounds, start, goal);
+            self.start_index.reset(config.step_size, region);
             self.start_index.insert(start);
-            self.goal_index.reset(config.step_size);
+            self.goal_index.reset(config.step_size, region);
             self.goal_index.insert(goal);
         }
         let start_tree = &mut self.start_tree;

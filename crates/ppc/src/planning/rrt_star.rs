@@ -6,7 +6,7 @@ use rand::SeedableRng;
 
 use crate::kernel::KernelId;
 use crate::planning::nn_index::NnIndex;
-use crate::planning::rrt::{sample_point, steer, trace_path_into, ParentLinked};
+use crate::planning::rrt::{index_region, sample_point, steer, trace_path_into, ParentLinked};
 use crate::planning::space::{MotionPlanner, ObstacleModel, PlannedPath, PlannerConfig};
 
 /// Sentinel for "no node" in the pooled child-link arrays.
@@ -141,6 +141,21 @@ fn select_best_goal(nodes: &[StarNode], candidates: &[usize], goal: Vec3) -> Opt
     best
 }
 
+/// Removes and returns the candidate with the smallest `(cost, sequence)`
+/// key, comparing costs by `total_cmp`; `None` once `candidates` is empty.
+///
+/// The sequence positions are distinct, so the keys are unique and repeated
+/// calls yield the candidates in exactly the order a sort by the same key
+/// would — while costing O(candidates) per call instead of a full sort up
+/// front when only the first one or two are ever taken.
+fn take_cheapest(candidates: &mut Vec<(f64, u32)>) -> Option<(f64, u32)> {
+    let (cheapest, _) = candidates
+        .iter()
+        .enumerate()
+        .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))?;
+    Some(candidates.swap_remove(cheapest))
+}
+
 /// RRT*: the default motion planner of the paper's PPC pipeline.
 ///
 /// Compared to plain RRT it selects the lowest-cost parent within a
@@ -176,8 +191,9 @@ pub struct RrtStar {
     worklist: Vec<u32>,
     // Nodes with a verified collision-free hop to the goal.
     goal_candidates: Vec<usize>,
-    // Parent candidates sorted by prospective cost, so the best-parent scan
-    // can stop at the first collision-free one.
+    // Parent candidates `(prospective cost, sequence position)`, taken
+    // cheapest first so the best-parent scan can stop at the first
+    // collision-free one.
     parent_candidates: Vec<(f64, u32)>,
     // `neighbours[i].position.distance(new_position)`, filled alongside
     // `parent_candidates` and reused by the rewire pass (positions never
@@ -248,7 +264,7 @@ impl MotionPlanner for RrtStar {
         self.children.push_node();
         self.goal_candidates.clear();
         if self.use_index {
-            self.index.reset(self.config.step_size);
+            self.index.reset(self.config.step_size, index_region(self.config.bounds, start, goal));
             self.index.insert(start);
         }
         let nodes = &mut self.nodes;
@@ -299,14 +315,14 @@ impl MotionPlanner for RrtStar {
             // re-marching `segment_free` for it would double the most
             // expensive query of the loop for no behavioural difference —
             // the strict `<` keeps the first evaluation's result).
-            // Sort candidates by prospective cost (ties by sequence
-            // position) and take the first with a collision-free segment:
-            // that candidate minimises `(cost, sequence position)` over the
-            // free candidates, which is exactly what a full scan keeping the
-            // strict-`<` minimum returns — but the expensive `segment_free`
-            // march runs only until the winner is found instead of once per
-            // candidate (the dominant cost of the whole search, ~50
-            // candidates per accepted node on dense grids).
+            // Try candidates cheapest first by `(prospective cost, sequence
+            // position)` and take the first with a collision-free segment:
+            // that candidate minimises the key over the free candidates,
+            // which is exactly what a full scan keeping the strict-`<`
+            // minimum returns — but the expensive `segment_free` march runs
+            // only until the winner is found instead of once per candidate.
+            // The winner is almost always the cheapest candidate, so picking
+            // the minimum on demand beats sorting all ~50 of them.
             let nearest_unlisted = neighbours.binary_search(&nearest_index).is_err();
             self.parent_candidates.clear();
             self.neighbour_distances.clear();
@@ -324,10 +340,9 @@ impl MotionPlanner for RrtStar {
                         (parent.cost + distance, sequence as u32)
                     }),
             );
-            self.parent_candidates.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             let mut best_parent = None;
             let mut best_cost = f64::INFINITY;
-            for &(cost, sequence) in &self.parent_candidates {
+            while let Some((cost, sequence)) = take_cheapest(&mut self.parent_candidates) {
                 let candidate = neighbours.get(sequence as usize).copied().unwrap_or(nearest_index);
                 if model.segment_free(nodes[candidate].position, new_position, self.config.margin) {
                     best_parent = Some(candidate);
@@ -424,6 +439,7 @@ mod tests {
 
     #[test]
     fn indexed_and_linear_queries_plan_identical_paths() {
+        let mut trees_from_outside = 0;
         for (kind, env_seed) in [
             (EnvironmentKind::Sparse, 13_u64),
             (EnvironmentKind::Farm, 2),
@@ -434,16 +450,81 @@ mod tests {
             let mut indexed = RrtStar::new(config);
             let mut linear = RrtStar::new(config);
             linear.set_spatial_index_enabled(false);
-            // Two plans per instance: the second runs over warm pooled
-            // buffers and a stepped RNG.
-            for (start, goal) in [(env.start(), env.goal()), (env.goal(), env.start())] {
+            // A start outside the sampling bounds: the index's region must
+            // grow to contain it, since the tree is rooted there.
+            let outside = Vec3::new(config.bounds.min.x - 1.0, env.start().y, env.start().z);
+            // Several plans per instance: later ones run over warm pooled
+            // buffers, a stepped RNG and a region of another size.
+            for (start, goal) in
+                [(env.start(), env.goal()), (env.goal(), env.start()), (outside, env.goal())]
+            {
                 assert_eq!(
                     indexed.plan(&env, start, goal),
                     linear.plan(&env, start, goal),
-                    "{} seed {env_seed} diverged",
+                    "{} seed {env_seed} diverged from {start:?}",
                     env.name()
                 );
+                if start == outside && indexed.nodes.len() > 1 {
+                    assert_eq!(indexed.nodes[0].position, outside, "the tree is rooted outside");
+                    trees_from_outside += 1;
+                }
             }
+        }
+        assert!(trees_from_outside >= 2, "Sparse and Dense must search from the outside start");
+    }
+
+    /// The selection `take_cheapest` replaced: sort every candidate by
+    /// `(cost, sequence)` and take the first one whose segment is free.
+    fn sorted_selection(candidates: &[(f64, u32)], blocked: &[u32]) -> Option<(f64, u32)> {
+        let mut sorted = candidates.to_vec();
+        sorted.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        sorted.into_iter().find(|(_, sequence)| !blocked.contains(sequence))
+    }
+
+    fn on_demand_selection(candidates: &[(f64, u32)], blocked: &[u32]) -> Option<(f64, u32)> {
+        let mut pool = candidates.to_vec();
+        while let Some(candidate) = take_cheapest(&mut pool) {
+            if !blocked.contains(&candidate.1) {
+                return Some(candidate);
+            }
+        }
+        None
+    }
+
+    /// On-demand parent selection picks exactly the candidate the sorted
+    /// scan picked: with tied costs (sequence order breaks them), with the
+    /// cheapest few candidates blocked, and with every candidate blocked.
+    #[test]
+    fn on_demand_parent_selection_matches_the_sorted_scan() {
+        for length in [0_u32, 1, 2, 7, 51] {
+            // Costs from a small set, so most lists hold several ties.
+            let candidates: Vec<(f64, u32)> = (0..length)
+                .map(|sequence| {
+                    let cost = [4.5, 2.0, 7.25, 2.0, 3.0][(sequence as usize * 7 + 3) % 5];
+                    (cost + f64::from(sequence % 3) * 0.5, sequence)
+                })
+                .collect();
+            let mut order = candidates.clone();
+            order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            // Block the k cheapest, for every k (k = length blocks all).
+            for blocked_count in 0..=order.len() {
+                let blocked: Vec<u32> =
+                    order[..blocked_count].iter().map(|&(_, sequence)| sequence).collect();
+                let expected = sorted_selection(&candidates, &blocked);
+                assert_eq!(on_demand_selection(&candidates, &blocked), expected);
+                assert_eq!(expected.is_none(), blocked_count == order.len());
+            }
+            // Block by sequence instead, hitting ties from both sides.
+            let blocked: Vec<u32> = (0..length).filter(|s| s % 4 != 3).collect();
+            assert_eq!(
+                on_demand_selection(&candidates, &blocked),
+                sorted_selection(&candidates, &blocked)
+            );
+            // Draining the pool yields the whole sorted order.
+            let mut pool = candidates.clone();
+            let drained: Vec<(f64, u32)> =
+                std::iter::from_fn(|| take_cheapest(&mut pool)).collect();
+            assert_eq!(drained, order);
         }
     }
 

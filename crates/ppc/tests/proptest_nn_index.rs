@@ -1,4 +1,4 @@
-//! Property tests for the pooled voxel-bucketed spatial index
+//! Property tests for the pooled dense-cell spatial index
 //! ([`NnIndex`]): random insert sequences and queries must agree **exactly**
 //! — on index *and* tie-break — with the O(n) linear scans the RRT-family
 //! planners used before, across bounds scales and cell (step-size) configs;
@@ -7,7 +7,7 @@
 
 use mavfi_ppc::planning::{NnIndex, PlannerAlgorithm, PlannerConfig};
 use mavfi_sim::env::EnvironmentKind;
-use mavfi_sim::geometry::Vec3;
+use mavfi_sim::geometry::{Aabb, Vec3};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -54,20 +54,30 @@ proptest! {
 
     /// Random insert sequences interleaved with nearest/radius queries: the
     /// index agrees with the linear references after every insert, across
-    /// bounds scales and cell sizes — including the pooled-reuse path (the
-    /// same `NnIndex` instance is reset and refilled for a second round).
+    /// bounds scales, cell sizes and tabled regions — including the
+    /// pooled-reuse path (the same `NnIndex` instance is reset and refilled
+    /// for a second round, with a region of another size).  Counts run past
+    /// the linear `nearest` cutoff (256), so the shell walk is compared too;
+    /// regions smaller than, offset from or larger than the point cloud put
+    /// points (the first one included) and queries outside the table, onto
+    /// the overflow chain.
     #[test]
     fn index_queries_match_linear_scans(
         point_seed in 0u64..10_000,
         cell_size in 0.4f64..6.0,
         scale in 4.0f64..60.0,
-        count in 1usize..180,
+        count in 1usize..700,
+        region_half in 0.0f64..1.5,
+        region_shift in -0.5f64..0.5,
     ) {
         let mut rng = StdRng::seed_from_u64(point_seed);
         let mut index = NnIndex::new();
         let mut out = Vec::new();
         for round in 0..2 {
-            index.reset(cell_size);
+            // Round 1 tables a region twice the size of round 0's.
+            let half = scale * region_half * f64::from(round + 1);
+            let center = Vec3::splat(scale * region_shift);
+            index.reset(cell_size, Aabb::new(center - Vec3::splat(half), center + Vec3::splat(half)));
             let mut points: Vec<Vec3> = Vec::new();
             for step in 0..count {
                 let point = random_point(&mut rng, scale, &points);

@@ -3,9 +3,9 @@
 # rustdoc (warnings are errors, including broken intra-doc links — the
 # `docs/` markdown pages are included into the `mavfi-suite` crate docs, so
 # the same gate covers them), smoke runs of the examples, the bench-log
-# gate, a short run of every benchmark workload on this tree, and a
-# relative-link existence check over the repository's markdown
-# documentation.
+# gate, a short run of every benchmark workload on this tree (plus one
+# traced golden_replan run), and a relative-link existence check over the
+# repository's markdown documentation.
 #
 # Usage: ./scripts/check.sh
 #
@@ -51,6 +51,20 @@ for workload in golden_replan farm_protected served_campaigns; do
       ;;
   esac
 done
+
+echo "==> benchmark on this tree, traced: golden_replan, 2 s, ledger and traced loop check out"
+# With tracing on, the run also checks that its traced copy of the mission
+# loop equals MissionRunner::run byte for byte and that the per-layer
+# ledger accounts for 95-105 % of traced wall time.
+result=$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+           --workload golden_replan --seconds 2 --trace 1 | tail -n 1)
+case "$result" in
+  *'"correct": true'*) ;;
+  *)
+    echo "  golden_replan (traced): output checks failed: $result"
+    exit 1
+    ;;
+esac
 
 echo "==> markdown relative links resolve (README.md, docs/, CHANGES.md)"
 broken=0
