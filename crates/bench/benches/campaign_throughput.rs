@@ -15,7 +15,7 @@
 //! the sharded worker count (default: available parallelism).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mavfi::exec::{run_campaign, CampaignExecutor, SchemeConfig, TrainedDetectorCache};
+use mavfi::exec::{CampaignExecutor, SchemeConfig, TrainedDetectorCache};
 use mavfi::prelude::*;
 use mavfi_bench::{print_campaign_experiment, runs_per_target};
 
@@ -63,8 +63,10 @@ fn bench(c: &mut Criterion) {
 
     // The two paths must agree bit for bit before their timing means
     // anything.
-    let sequential = run_campaign(&config, &scheme, 1).expect("sequential campaign");
-    let sharded = run_campaign(&config, &scheme, workers).expect("sharded campaign");
+    let sequential =
+        CampaignExecutor::new(1).run_campaign(&config, &scheme).expect("sequential campaign");
+    let sharded =
+        CampaignExecutor::new(workers).run_campaign(&config, &scheme).expect("sharded campaign");
     assert_eq!(sequential, sharded, "sharded campaign must reproduce sequential results");
 
     print_campaign_experiment(
@@ -86,7 +88,8 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("campaign_throughput");
     group.sample_size(2);
     group.bench_function("sequential", |b| {
-        b.iter(|| run_campaign(&config, &scheme, 1).expect("sequential campaign"))
+        let executor = CampaignExecutor::new(1);
+        b.iter(|| executor.run_campaign(&config, &scheme).expect("sequential campaign"))
     });
     group.bench_function(&format!("sharded_{workers}_workers"), |b| {
         let executor = CampaignExecutor::new(workers);

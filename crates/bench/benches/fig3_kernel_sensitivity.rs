@@ -50,7 +50,7 @@ fn measure_tick_throughput() {
 fn measure_kernel_latency_p99() {
     let spec = MissionSpec::new(EnvironmentKind::Sparse, 3).with_time_budget(200.0);
     let mut sink = MissionTelemetry::new();
-    let _ = MissionRunner::new(spec).run_golden_instrumented(&mut sink);
+    let _ = MissionRunner::new(spec).run_observed(None, Protection::None, None, &mut sink);
     for kernel in KernelId::ALL {
         let histogram = sink.kernel_latency(kernel);
         if histogram.count() == 0 {

@@ -49,8 +49,9 @@ fn measure_record_replay() -> MissionTrace {
     );
 
     // Same loop with every topic captured into the binary trace stream.
-    let (recorded_secs, _) =
-        time_runs(ITERS, || runner.run_golden_recorded().unwrap().0.pipeline.ticks);
+    let (recorded_secs, _) = time_runs(ITERS, || {
+        runner.run_recorded(None, Protection::None, None, None).unwrap().0.pipeline.ticks
+    });
     bench_log::record(
         "replay_micro",
         "recorded_ticks_per_sec",
@@ -67,7 +68,7 @@ fn measure_record_replay() -> MissionTrace {
     );
 
     // Replay: ppc pipeline re-driven from the trace, sim out of the loop.
-    let (_, trace) = runner.run_golden_recorded().unwrap();
+    let (_, trace) = runner.run_recorded(None, Protection::None, None, None).unwrap();
     let (replay_secs, replay_ticks) = time_runs(ITERS, || {
         let report = ReplayHarness::new(&trace).replay().unwrap();
         assert!(report.is_match(), "replay diverged mid-bench: {:?}", report.divergence);

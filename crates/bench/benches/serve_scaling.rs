@@ -10,7 +10,7 @@
 //!   worker has a chunk in flight between checkpoints — the curve is still
 //!   flat on a single-core host, which is itself worth recording);
 //! * `library_jobs_per_sec_1w` — the same campaign through plain
-//!   `run_campaign`, the no-service baseline;
+//!   `CampaignExecutor::run_campaign`, the no-service baseline;
 //! * `serve_overhead_pct_1w` — what the service layer (checkpointing,
 //!   progress streaming, bus hops) costs over the library call at one
 //!   worker, in percent of wall time.
@@ -61,7 +61,8 @@ fn serve_once(request: &CampaignRequest, workers: usize, dir: &std::path::Path) 
     begin.elapsed().as_secs_f64()
 }
 
-/// One library `run_campaign` pass; returns elapsed seconds.
+/// One library `CampaignExecutor::run_campaign` pass; returns elapsed
+/// seconds.
 fn library_once(request: &CampaignRequest) -> f64 {
     let scheme = SchemeConfig::cached(request.training_environment, request.training);
     let begin = Instant::now();

@@ -107,6 +107,24 @@ impl Default for TrainingSpec {
     }
 }
 
+impl TrainingSpec {
+    /// Checks that the spec can train detectors: at least one mission, and
+    /// a finite, positive mission time budget (under a NaN budget a
+    /// training mission that never lands cannot time out).
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if self.missions == 0 {
+            return Err("training needs at least one mission (training.missions is 0)".into());
+        }
+        if !self.mission_time_budget.is_finite() || self.mission_time_budget <= 0.0 {
+            return Err(format!(
+                "training.mission_time_budget {} is not positive",
+                self.mission_time_budget
+            ));
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -30,7 +30,7 @@ use crate::runner::{MissionOutcome, MissionRunner, TrainedDetectors};
 
 /// Where a campaign's trained detectors come from.
 #[derive(Debug, Clone)]
-pub enum DetectorSource {
+enum DetectorSource {
     /// An already-trained bank, shared as-is.
     Shared(Arc<TrainedDetectors>),
     /// Train on demand (or reuse) via the global
@@ -268,13 +268,13 @@ fn accumulate_recomputations(outcome: &MissionOutcome, totals: &mut [(Stage, u64
 /// # Examples
 ///
 /// ```no_run
-/// use mavfi::exec::{run_campaign, SchemeConfig};
+/// use mavfi::exec::{CampaignExecutor, SchemeConfig};
 /// use mavfi::{CampaignConfig, TrainingSpec};
 /// use mavfi_sim::env::EnvironmentKind;
 ///
 /// let config = CampaignConfig::quick(EnvironmentKind::Sparse, 7);
 /// let scheme = SchemeConfig::cached_default(TrainingSpec::default());
-/// let campaign = run_campaign(&config, &scheme, 4).unwrap();
+/// let campaign = CampaignExecutor::new(4).run_campaign(&config, &scheme).unwrap();
 /// println!("{}", campaign.golden.summary.success_rate);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -327,11 +327,6 @@ impl CampaignExecutor {
         } else {
             self.batch
         }
-    }
-
-    /// The underlying worker pool.
-    pub fn pool(&self) -> WorkerPool {
-        self.pool
     }
 
     /// The worker count missions fan out over.
@@ -516,7 +511,7 @@ impl CampaignExecutor {
                 return runner.run(fault, protection, Some(detectors));
             }
             let mut sink = MissionTelemetry::new();
-            let outcome = runner.run_instrumented(fault, protection, Some(detectors), &mut sink)?;
+            let outcome = runner.run_observed(fault, protection, Some(detectors), &mut sink)?;
             reports.push(sink.into_report(&outcome.pipeline));
             Ok(outcome)
         };
@@ -607,39 +602,6 @@ impl CampaignExecutor {
         )?;
         Ok(outcome)
     }
-}
-
-/// Runs one environment's full campaign through a [`CampaignExecutor`] —
-/// the single entry point the experiment drivers route through.
-///
-/// `workers == 0` means "auto" (`MAVFI_WORKERS`, falling back to the
-/// available parallelism); any other value pins the worker count.  Results
-/// are byte-identical for every choice.
-///
-/// # Errors
-///
-/// Propagates runner errors, lowest run index first.
-pub fn run_campaign(
-    config: &CampaignConfig,
-    scheme: &SchemeConfig,
-    workers: usize,
-) -> Result<EnvironmentCampaign, MavfiError> {
-    CampaignExecutor::new(workers).run_campaign(config, scheme)
-}
-
-/// [`run_campaign`] with mission telemetry: also returns the campaign-wide
-/// [`TelemetryReport`] merged in deterministic run order.  The campaign
-/// results are bit-identical to [`run_campaign`] for any worker count.
-///
-/// # Errors
-///
-/// Propagates runner errors, lowest run index first.
-pub fn run_campaign_instrumented(
-    config: &CampaignConfig,
-    scheme: &SchemeConfig,
-    workers: usize,
-) -> Result<(EnvironmentCampaign, TelemetryReport), MavfiError> {
-    CampaignExecutor::new(workers).run_campaign_instrumented(config, scheme)
 }
 
 #[cfg(test)]
@@ -739,8 +701,8 @@ mod tests {
             mission_time_budget: 60.0,
         };
         let scheme = SchemeConfig::trained(detectors);
-        let serial = run_campaign(&config, &scheme, 1).unwrap();
-        let parallel = run_campaign(&config, &scheme, 4).unwrap();
+        let serial = CampaignExecutor::new(1).run_campaign(&config, &scheme).unwrap();
+        let parallel = CampaignExecutor::new(4).run_campaign(&config, &scheme).unwrap();
         assert_eq!(serial, parallel);
         assert_eq!(serial.golden.runs.len(), 1);
         assert_eq!(serial.injected.runs.len(), 3);

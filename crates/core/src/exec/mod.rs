@@ -13,9 +13,10 @@
 //! * [`TrainedDetectorCache`] — one trained GAD/AAD bank per
 //!   `(environment, training config)`, shared across experiments instead of
 //!   retrained per driver.
-//! * [`CampaignExecutor`] / [`run_campaign`] — the engine the experiment
-//!   drivers route through: it builds a campaign's full run list (golden +
-//!   per-stage injections), derives every run's seed from
+//! * [`CampaignExecutor`] — the one campaign engine: the experiment
+//!   drivers, the campaign server and the benches all call its
+//!   `run_campaign*` methods.  It builds a campaign's full run list
+//!   (golden runs, then per-stage injections), derives every run's seed from
 //!   `(base_seed, run_index)`, flies each campaign job on its own through
 //!   [`MissionRunner`](crate::MissionRunner) and folds outcomes in run
 //!   order.
@@ -32,8 +33,5 @@ mod engine;
 mod pool;
 
 pub use cache::{CacheStats, TrainedDetectorCache};
-pub use engine::{
-    run_campaign, run_campaign_instrumented, CampaignExecutor, CampaignFoldState, DetectorSource,
-    InjectionSweep, SchemeConfig, SweepOutcome,
-};
+pub use engine::{CampaignExecutor, CampaignFoldState, InjectionSweep, SchemeConfig, SweepOutcome};
 pub use pool::{PoolStats, WorkerPool};

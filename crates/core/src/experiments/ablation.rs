@@ -26,7 +26,7 @@ use mavfi_ppc::states::MonitoredStates;
 use mavfi_sim::env::EnvironmentKind;
 use serde::{Deserialize, Serialize};
 
-use crate::config::MissionSpec;
+use crate::config::{MissionSpec, Protection};
 use crate::error::MavfiError;
 use crate::report::{percent, TextTable};
 use crate::runner::MissionRunner;
@@ -232,7 +232,7 @@ pub fn run(config: &AblationConfig) -> Result<AblationResult, MavfiError> {
         let spec =
             MissionSpec::new(EnvironmentKind::Randomized, config.training_seed + index as u64)
                 .with_time_budget(config.mission_time_budget);
-        let _ = MissionRunner::new(spec).run_collecting_telemetry(&mut telemetry);
+        MissionRunner::new(spec).run_observed(None, Protection::None, None, &mut telemetry)?;
     }
     let samples = telemetry.samples();
     let split = ((samples.len() as f64) * (1.0 - config.eval_fraction.clamp(0.05, 0.95))) as usize;

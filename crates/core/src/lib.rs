@@ -47,16 +47,15 @@ pub mod serve;
 pub mod trace;
 pub mod training;
 
-pub use campaign::{CampaignConfig, CampaignRunner, EnvironmentCampaign, SettingResult};
+pub use campaign::{CampaignConfig, EnvironmentCampaign, SettingResult};
 pub use config::{MissionSpec, Protection, TrainingSpec};
 pub use error::MavfiError;
 pub use exec::{
-    run_campaign, run_campaign_instrumented, CampaignExecutor, CampaignFoldState, SchemeConfig,
-    TrainedDetectorCache, WorkerPool,
+    CampaignExecutor, CampaignFoldState, SchemeConfig, TrainedDetectorCache, WorkerPool,
 };
 pub use qof::{QofMetrics, QofSummary};
 pub use replay::{ReplayDivergence, ReplayHarness, ReplayReport};
-pub use runner::{MissionOutcome, MissionRunner, TrainedDetectors};
+pub use runner::{MissionObserver, MissionOutcome, MissionRunner, TickView, TrainedDetectors};
 pub use serve::{
     CampaignClient, CampaignProgress, CampaignRequest, CampaignServer, JobStatus, JobTicket,
     ServerError,
@@ -66,17 +65,18 @@ pub use training::{train_detectors, train_detectors_in};
 
 /// Commonly used items, suitable for glob import.
 pub mod prelude {
-    pub use crate::campaign::{CampaignConfig, CampaignRunner, EnvironmentCampaign, SettingResult};
+    pub use crate::campaign::{CampaignConfig, EnvironmentCampaign, SettingResult};
     pub use crate::config::{MissionSpec, Protection, TrainingSpec};
     pub use crate::error::MavfiError;
     pub use crate::exec::{
-        run_campaign, run_campaign_instrumented, CampaignExecutor, CampaignFoldState, SchemeConfig,
-        TrainedDetectorCache, WorkerPool,
+        CampaignExecutor, CampaignFoldState, SchemeConfig, TrainedDetectorCache, WorkerPool,
     };
     pub use crate::qof::{QofMetrics, QofSummary};
     pub use crate::replay::{ReplayDivergence, ReplayHarness, ReplayReport};
     pub use crate::report::TextTable;
-    pub use crate::runner::{MissionOutcome, MissionRunner, TrainedDetectors};
+    pub use crate::runner::{
+        MissionObserver, MissionOutcome, MissionRunner, TickView, TrainedDetectors,
+    };
     pub use crate::serve::{
         CampaignClient, CampaignProgress, CampaignRequest, CampaignServer, JobStatus, JobTicket,
         ServerError,

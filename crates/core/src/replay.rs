@@ -12,9 +12,7 @@
 //! [`TraceMeta`]: crate::trace::TraceMeta
 //! [`World`]: mavfi_sim::world::World
 
-use mavfi_fault::injector::FaultInjector;
 use mavfi_middleware::trace::{fold_digest, TraceError, TraceReader, DIGEST_SEED};
-use mavfi_ppc::pipeline::{PpcConfig, PpcPipeline};
 use mavfi_sim::geometry::Pose;
 use mavfi_sim::sensors::{DepthFrame, RayHits};
 use mavfi_sim::world::MissionStatus;
@@ -23,7 +21,7 @@ use crate::config::Protection;
 use crate::error::MavfiError;
 use crate::exec::TrainedDetectorCache;
 use crate::qof::QofMetrics;
-use crate::runner::{detector_tap, MissionTap, TrainedDetectors};
+use crate::runner::{closed_loop, detector_tap, TrainedDetectors};
 use crate::trace::{decode_mission_end, InputCodec, MissionTrace, OutputTracker, TraceTopic};
 
 /// The first point at which a replay's outputs stopped matching the
@@ -124,14 +122,12 @@ impl<'a> ReplayHarness<'a> {
         };
         let detector = detector_tap(meta.protection, detectors)?;
 
-        // Rebuild the deterministic half of the closed loop exactly as the
-        // runner does — environment build is pure configuration (bounds,
-        // start, goal); the world itself is never constructed.
+        // Rebuild the deterministic half of the closed loop through the
+        // runner's own constructor — environment build is pure
+        // configuration (bounds, start, goal); the world itself is never
+        // constructed.
         let spec = meta.spec;
-        let environment = spec.environment.build(spec.seed);
-        let ppc_config = PpcConfig::new(spec.planner, environment.bounds(), spec.seed);
-        let mut pipeline = PpcPipeline::new(ppc_config, environment.start(), environment.goal());
-        let mut tap = MissionTap { injector: meta.fault.map(FaultInjector::new), detector };
+        let (_, mut pipeline, mut tap) = closed_loop(&spec, meta.fault, detector);
         let camera = meta.camera;
         let dt = spec.control_period;
 
@@ -149,9 +145,7 @@ impl<'a> ReplayHarness<'a> {
         let mut end = None;
 
         'stream: while let Some(record) = reader.next_record()? {
-            let topic = TraceTopic::from_id(record.topic).ok_or_else(|| TraceError::Malformed {
-                reason: format!("unknown topic id {}", record.topic),
-            })?;
+            let topic = topic_of(record.topic)?;
             match topic {
                 TraceTopic::MissionEnd => {
                     end = Some(decode_mission_end(record.payload)?);
@@ -178,10 +172,9 @@ impl<'a> ReplayHarness<'a> {
                     expected.clear();
                     tracker.emit(
                         &ppc_tick,
-                        pipeline.trajectory(),
-                        pipeline.trajectory_revision(),
-                        tap.detector.as_ref().map(|detector| detector.stats()),
-                        tap.injector.as_ref().and_then(|injector| injector.record()),
+                        &pipeline,
+                        tap.second.as_ref().map(|detector| detector.stats()),
+                        tap.first.as_ref().and_then(|injector| injector.record()),
                         |topic, payload| expected.push((topic, payload.to_vec())),
                     );
                     for (expected_topic, expected_payload) in &expected {
@@ -196,8 +189,7 @@ impl<'a> ReplayHarness<'a> {
                             });
                             break 'stream;
                         };
-                        let recorded_topic =
-                            TraceTopic::from_id(recorded.topic).unwrap_or(TraceTopic::MissionEnd);
+                        let recorded_topic = topic_of(recorded.topic)?;
                         recorded_output_digest =
                             fold_output(recorded_output_digest, recorded_topic, recorded.payload);
                         if recorded_topic != *expected_topic {
@@ -253,6 +245,13 @@ impl<'a> ReplayHarness<'a> {
     }
 }
 
+/// The mission topic a record's id names; an id the stream declares but
+/// MAVFI does not is a malformed trace.
+fn topic_of(id: u8) -> Result<TraceTopic, TraceError> {
+    TraceTopic::from_id(id)
+        .ok_or_else(|| TraceError::Malformed { reason: format!("unknown topic id {id}") })
+}
+
 fn fold_output(digest: u64, topic: TraceTopic, payload: &[u8]) -> u64 {
     fold_digest(fold_digest(digest, &[topic.id()]), payload)
 }
@@ -272,4 +271,40 @@ fn payload_diff(recorded: &[u8], replayed: &[u8]) -> String {
         recorded[offset],
         replayed[offset]
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use mavfi_middleware::trace::{compress_container, TopicDecl, TraceWriter};
+    use mavfi_sim::env::EnvironmentKind;
+    use mavfi_sim::vehicle::QuadrotorState;
+
+    use super::*;
+    use crate::config::MissionSpec;
+    use crate::runner::MissionRunner;
+
+    #[test]
+    fn an_unknown_topic_in_an_output_slot_is_malformed() {
+        // A stream that declares one topic MAVFI does not know and records
+        // it where the first tick's outputs belong.
+        let spec = MissionSpec::new(EnvironmentKind::Sparse, 3).with_time_budget(0.1);
+        let (_, recorded) =
+            MissionRunner::new(spec).run_recorded(None, Protection::None, None, None).unwrap();
+        let mut topics = TraceTopic::declarations();
+        topics.push(TopicDecl::new(0xF0, "extra", 1));
+        let meta = TraceReader::new(recorded.stream()).unwrap().meta().to_vec();
+        let mut writer = TraceWriter::new(&meta, &topics);
+        let state =
+            QuadrotorState { position: spec.environment.build(3).start(), ..Default::default() };
+        let (mut inputs, mut payload) = (InputCodec::default(), Vec::new());
+        inputs.encode_state(&mut payload, &state);
+        writer.record(TraceTopic::VehicleState.id(), 0, 0.0, &payload);
+        inputs.encode_rays(&mut payload, &RayHits::default());
+        writer.record(TraceTopic::DepthRays.id(), 0, 0.0, &payload);
+        writer.record(0xF0, 0, 0.0, &[]);
+        let trace = MissionTrace::from_bytes(&compress_container(&writer.finish())).unwrap();
+
+        let error = ReplayHarness::new(&trace).replay().unwrap_err();
+        assert!(matches!(error, MavfiError::Trace(TraceError::Malformed { .. })), "{error:?}");
+    }
 }

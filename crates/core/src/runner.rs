@@ -6,14 +6,13 @@ use mavfi_detect::detector_node::{DetectionScheme, DetectorStats, DetectorTap};
 use mavfi_detect::training::TelemetrySet;
 use mavfi_detect::{AadDetector, GadBank};
 use mavfi_fault::injector::{FaultInjector, FaultRecord, FaultSpec};
-use mavfi_ppc::perception::occupancy::OccupancyGrid;
-use mavfi_ppc::pipeline::{PipelineStats, PpcConfig, PpcPipeline};
-use mavfi_ppc::states::{CollisionEstimate, PointCloud, Trajectory};
-use mavfi_ppc::tap::{StageTap, TapAction};
+use mavfi_ppc::pipeline::{PipelineStats, PpcConfig, PpcPipeline, PpcTick};
+use mavfi_ppc::tap::ChainTap;
 use mavfi_sim::energy::PowerModel;
+use mavfi_sim::env::Environment;
 use mavfi_sim::geometry::Vec3;
 use mavfi_sim::sensors::{CaptureScratch, DepthCamera, DepthFrame, RayHits};
-use mavfi_sim::vehicle::FlightCommand;
+use mavfi_sim::vehicle::QuadrotorState;
 use mavfi_sim::world::{MissionStatus, World};
 use mavfi_telemetry::MissionTelemetry;
 use serde::{Deserialize, Serialize};
@@ -54,14 +53,10 @@ impl MissionOutcome {
     }
 }
 
-/// Composite tap: fault injector first (corrupting states in flight), then
-/// the detector (observing exactly what the downstream kernels would see).
-/// Shared with the replay harness, which rebuilds the identical tap from a
-/// trace's metadata.
-pub(crate) struct MissionTap {
-    pub(crate) injector: Option<FaultInjector>,
-    pub(crate) detector: Option<DetectorTap>,
-}
+/// The mission's stage tap: the fault injector first (corrupting states in
+/// flight), then the detector (observing exactly what the downstream
+/// kernels would see).
+pub(crate) type MissionTap = ChainTap<Option<FaultInjector>, Option<DetectorTap>>;
 
 /// Builds the detector tap for a protection scheme — the one place the
 /// scheme→detector wiring lives, shared by the runner and the replay
@@ -70,74 +65,108 @@ pub(crate) fn detector_tap(
     protection: Protection,
     detectors: Option<&TrainedDetectors>,
 ) -> Result<Option<DetectorTap>, MavfiError> {
-    match protection {
-        Protection::None => Ok(None),
-        Protection::Gaussian => {
-            let detectors = detectors.ok_or_else(|| MavfiError::MissingDetectors {
-                scheme: protection.label().to_owned(),
-            })?;
-            Ok(Some(DetectorTap::new(DetectionScheme::Gaussian(detectors.gad.clone()))))
+    let scheme = match (protection, detectors) {
+        (Protection::None, _) => return Ok(None),
+        (Protection::Gaussian, Some(detectors)) => DetectionScheme::Gaussian(detectors.gad.clone()),
+        (Protection::Autoencoder, Some(detectors)) => {
+            DetectionScheme::Autoencoder(detectors.aad.clone())
         }
-        Protection::Autoencoder => {
-            let detectors = detectors.ok_or_else(|| MavfiError::MissingDetectors {
-                scheme: protection.label().to_owned(),
-            })?;
-            Ok(Some(DetectorTap::new(DetectionScheme::Autoencoder(detectors.aad.clone()))))
+        (_, None) => {
+            return Err(MavfiError::MissingDetectors { scheme: protection.label().to_owned() })
         }
+    };
+    Ok(Some(DetectorTap::new(scheme)))
+}
+
+/// Watches one closed-loop mission from inside [`MissionRunner`]'s loop.
+///
+/// Every use of the loop beyond flying it — per-tick mission telemetry
+/// ([`MissionTelemetry`]), detector-training telemetry ([`TelemetrySet`])
+/// and replayable trace recording — is an observer.  Observers only read:
+/// a mission's outcome is bit-identical with any observer attached.  The
+/// runner is generic over the observer, so `()` (observe nothing) compiles
+/// to the bare loop.  See `docs/ARCHITECTURE.md` for the hook contract.
+pub trait MissionObserver {
+    /// When `true`, the loop captures each depth frame as `(ray, t)` hits
+    /// and resolves them back into the frame, so [`TickView::rays`] holds
+    /// the frame in the form a replay reconstructs it from.  When `false`,
+    /// the loop captures the frame directly and `rays` stays empty.
+    const RAY_FRAMES: bool = false;
+
+    /// Called once, after the pipeline is built and before the first tick.
+    fn start(&mut self, _pipeline: &mut PpcPipeline) {}
+
+    /// Called once per tick, after the world has stepped.
+    fn observe(&mut self, _view: &TickView<'_>) {}
+
+    /// Called once, after the mission has ended.
+    fn finish(&mut self) {}
+}
+
+/// What the mission loop shows a [`MissionObserver`] after each tick.
+#[derive(Clone, Copy)]
+pub struct TickView<'a> {
+    /// Tick index, counting from 0.
+    pub index: u64,
+    /// Simulation time at the start of the tick (s).
+    pub start_time_s: f64,
+    /// Simulation time after the world stepped (s).
+    pub end_time_s: f64,
+    /// The vehicle state the pipeline ticked on.
+    pub state: &'a QuadrotorState,
+    /// The tick's depth frame as ray hits (empty unless
+    /// [`MissionObserver::RAY_FRAMES`]).
+    pub rays: &'a RayHits,
+    /// The pipeline's output for the tick.
+    pub tick: &'a PpcTick,
+    /// The pipeline after the tick.
+    pub pipeline: &'a PpcPipeline,
+    /// Cumulative detector activity, when a protection scheme is active.
+    pub detector: Option<&'a DetectorStats>,
+    /// The injected fault's record, once it has fired.
+    pub fault: Option<&'a FaultRecord>,
+}
+
+/// Observes nothing: the bare mission loop.
+impl MissionObserver for () {}
+
+/// Per-tick mission telemetry, with wall-clock kernel timing turned on.
+impl MissionObserver for MissionTelemetry {
+    fn start(&mut self, pipeline: &mut PpcPipeline) {
+        pipeline.set_timing_enabled(true);
+    }
+
+    fn observe(&mut self, view: &TickView<'_>) {
+        let TickView { index, end_time_s, tick, pipeline, detector, fault, .. } = *view;
+        self.observe_tick(index, end_time_s, tick, pipeline, detector, fault);
     }
 }
 
-impl StageTap for MissionTap {
-    fn after_point_cloud(&mut self, cloud: &mut PointCloud) {
-        if let Some(injector) = &mut self.injector {
-            injector.after_point_cloud(cloud);
-        }
-        if let Some(detector) = &mut self.detector {
-            detector.after_point_cloud(cloud);
-        }
+/// Detector-training telemetry: every tick's monitored states, with a
+/// mission boundary marked when the mission ends.
+impl MissionObserver for TelemetrySet {
+    fn observe(&mut self, view: &TickView<'_>) {
+        self.record(&view.tick.monitored);
     }
 
-    fn after_occupancy(&mut self, grid: &mut OccupancyGrid) {
-        if let Some(injector) = &mut self.injector {
-            injector.after_occupancy(grid);
-        }
-        if let Some(detector) = &mut self.detector {
-            detector.after_occupancy(grid);
-        }
+    fn finish(&mut self) {
+        self.end_mission();
     }
+}
 
-    fn after_perception(&mut self, estimate: &mut CollisionEstimate) -> TapAction {
-        let mut action = TapAction::Continue;
-        if let Some(injector) = &mut self.injector {
-            action = action.merge(injector.after_perception(estimate));
-        }
-        if let Some(detector) = &mut self.detector {
-            action = action.merge(detector.after_perception(estimate));
-        }
-        action
-    }
-
-    fn after_planning(&mut self, trajectory: &mut Trajectory, active_index: usize) -> TapAction {
-        let mut action = TapAction::Continue;
-        if let Some(injector) = &mut self.injector {
-            action = action.merge(injector.after_planning(trajectory, active_index));
-        }
-        if let Some(detector) = &mut self.detector {
-            action = action.merge(detector.after_planning(trajectory, active_index));
-        }
-        action
-    }
-
-    fn after_control(&mut self, command: &mut FlightCommand) -> TapAction {
-        let mut action = TapAction::Continue;
-        if let Some(injector) = &mut self.injector {
-            action = action.merge(injector.after_control(command));
-        }
-        if let Some(detector) = &mut self.detector {
-            action = action.merge(detector.after_control(command));
-        }
-        action
-    }
+/// The environment, pipeline and tap of a mission's closed loop, built from
+/// its spec — shared by the runner and the replay harness so both fly the
+/// identical deterministic half of the loop.
+pub(crate) fn closed_loop(
+    spec: &MissionSpec,
+    fault: Option<FaultSpec>,
+    detector: Option<DetectorTap>,
+) -> (Environment, PpcPipeline, MissionTap) {
+    let environment = spec.environment.build(spec.seed);
+    let ppc_config = PpcConfig::new(spec.planner, environment.bounds(), spec.seed);
+    let pipeline = PpcPipeline::new(ppc_config, environment.start(), environment.goal());
+    let tap = ChainTap::new(fault.map(FaultInjector::new), detector);
+    (environment, pipeline, tap)
 }
 
 /// Runs missions described by a [`MissionSpec`].
@@ -162,30 +191,9 @@ impl MissionRunner {
         Self { spec }
     }
 
-    /// The mission specification.
-    pub fn spec(&self) -> MissionSpec {
-        self.spec
-    }
-
     /// Runs an error-free mission with no protection (a "golden run").
     pub fn run_golden(&self) -> MissionOutcome {
-        self.run_internal(None, None, None, None, None)
-    }
-
-    /// Runs a golden run while feeding the telemetry sink each tick:
-    /// wall-clock kernel timing is enabled on the pipeline and every tick
-    /// is observed.  Results are bit-identical to [`Self::run_golden`] —
-    /// the sink only reads.
-    pub fn run_golden_instrumented(&self, sink: &mut MissionTelemetry) -> MissionOutcome {
-        self.run_internal(None, None, None, Some(sink), None)
-    }
-
-    /// Runs an error-free mission while recording preprocessed telemetry
-    /// into `telemetry` (used to train the detectors).
-    pub fn run_collecting_telemetry(&self, telemetry: &mut TelemetrySet) -> MissionOutcome {
-        let outcome = self.run_internal(None, None, Some(telemetry), None, None);
-        telemetry.end_mission();
-        outcome
+        self.run_internal(None, None, &mut ())
     }
 
     /// Runs a mission with an optional fault and protection scheme.
@@ -200,47 +208,25 @@ impl MissionRunner {
         protection: Protection,
         detectors: Option<&TrainedDetectors>,
     ) -> Result<MissionOutcome, MavfiError> {
-        self.run_with_sink(fault, protection, detectors, None)
+        self.run_observed(fault, protection, detectors, &mut ())
     }
 
-    /// Like [`Self::run`], but feeds the telemetry sink each tick.  The
-    /// sink is purely observational: qof/trail are bit-identical with and
-    /// without it.
+    /// Like [`Self::run`], with `observer` watching every tick.  The
+    /// outcome is bit-identical to [`Self::run`]'s: observers only read.
     ///
     /// # Errors
     ///
     /// Returns [`MavfiError::MissingDetectors`] under the same conditions
     /// as [`Self::run`].
-    pub fn run_instrumented(
+    pub fn run_observed(
         &self,
         fault: Option<FaultSpec>,
         protection: Protection,
         detectors: Option<&TrainedDetectors>,
-        sink: &mut MissionTelemetry,
-    ) -> Result<MissionOutcome, MavfiError> {
-        self.run_with_sink(fault, protection, detectors, Some(sink))
-    }
-
-    fn run_with_sink(
-        &self,
-        fault: Option<FaultSpec>,
-        protection: Protection,
-        detectors: Option<&TrainedDetectors>,
-        sink: Option<&mut MissionTelemetry>,
+        observer: &mut impl MissionObserver,
     ) -> Result<MissionOutcome, MavfiError> {
         let detector = detector_tap(protection, detectors)?;
-        Ok(self.run_internal(fault.map(FaultInjector::new), detector, None, sink, None))
-    }
-
-    /// Runs an error-free, unprotected mission while recording its full
-    /// closed-loop topic traffic into a [`MissionTrace`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MavfiError::Serialization`] if the trace metadata cannot
-    /// be encoded (never expected for well-formed specs).
-    pub fn run_golden_recorded(&self) -> Result<(MissionOutcome, MissionTrace), MavfiError> {
-        self.run_recorded(None, Protection::None, None, None)
+        Ok(self.run_internal(fault, detector, observer))
     }
 
     /// Runs a mission — optionally fault-injected and protected — while
@@ -265,7 +251,6 @@ impl MissionRunner {
         detectors: Option<&TrainedDetectors>,
         provenance: Option<DetectorProvenance>,
     ) -> Result<(MissionOutcome, MissionTrace), MavfiError> {
-        let detector = detector_tap(protection, detectors)?;
         let meta = TraceMeta {
             spec: self.spec,
             protection,
@@ -274,51 +259,38 @@ impl MissionRunner {
             detectors: provenance,
         };
         let mut capture = TraceCapture::new(&meta)?;
-        let outcome = self.run_internal(
-            fault.map(FaultInjector::new),
-            detector,
-            None,
-            None,
-            Some(&mut capture),
-        );
-        let trace = capture.finish(&outcome.qof, outcome.pipeline.ticks);
+        let outcome = self.run_observed(fault, protection, detectors, &mut capture)?;
+        let trace = capture.into_trace(&outcome.qof, outcome.pipeline.ticks);
         Ok((outcome, trace))
     }
 
-    fn run_internal(
+    fn run_internal<O: MissionObserver>(
         &self,
-        injector: Option<FaultInjector>,
+        fault: Option<FaultSpec>,
         detector: Option<DetectorTap>,
-        mut telemetry: Option<&mut TelemetrySet>,
-        mut sink: Option<&mut MissionTelemetry>,
-        mut capture: Option<&mut TraceCapture>,
+        observer: &mut O,
     ) -> MissionOutcome {
         let spec = self.spec;
-        let environment = spec.environment.build(spec.seed);
-        let ppc_config = PpcConfig::new(spec.planner, environment.bounds(), spec.seed);
-        let mut pipeline = PpcPipeline::new(ppc_config, environment.start(), environment.goal());
+        let (environment, mut pipeline, mut tap) = closed_loop(&spec, fault, detector);
         let camera = DepthCamera::default();
         let mut world = World::new(environment, spec.vehicle, PowerModel::default(), spec.mission);
-        let mut tap = MissionTap { injector, detector };
-        if sink.is_some() {
-            pipeline.set_timing_enabled(true);
-        }
+        observer.start(&mut pipeline);
 
         let dt = spec.control_period;
         // One frame and one cull scratch reused for the whole mission: the
         // closed loop performs zero steady-state heap allocations (see
-        // docs/PERFORMANCE.md) — telemetry included, its buffers are
-        // preallocated at sink construction.
+        // docs/PERFORMANCE.md) — the telemetry observer included, its
+        // buffers are preallocated at construction.
         let mut frame = DepthFrame::default();
         let mut capture_scratch = CaptureScratch::new();
         let mut ray_hits = RayHits::default();
         let mut tick_index: u64 = 0;
         while world.status() == MissionStatus::InProgress {
-            let sim_time = world.elapsed();
+            let start_time_s = world.elapsed();
             let pose = world.vehicle().pose();
             let state = world.vehicle().state();
-            if capture.is_some() {
-                // Record the frame in (ray, t) form and resolve it back:
+            if O::RAY_FRAMES {
+                // Capture the frame in (ray, t) form and resolve it back:
                 // the pipeline consumes exactly the point cloud a replay
                 // will reconstruct from the trace, so both sides are
                 // bit-identical by construction (`resolve_rays` is itself
@@ -333,37 +305,22 @@ impl MissionRunner {
             } else {
                 camera.capture_into(world.environment(), &pose, &mut capture_scratch, &mut frame);
             }
-            if let Some(capture) = capture.as_deref_mut() {
-                capture.record_inputs(tick_index, sim_time, &state, &ray_hits);
-            }
             let tick = pipeline.tick(&frame, &state, dt, &mut tap);
-            if let Some(telemetry) = telemetry.as_deref_mut() {
-                telemetry.record(&tick.monitored);
-            }
-            if let Some(capture) = capture.as_deref_mut() {
-                capture.record_outputs(
-                    tick_index,
-                    sim_time,
-                    &tick,
-                    pipeline.trajectory(),
-                    pipeline.trajectory_revision(),
-                    tap.detector.as_ref().map(|detector| detector.stats()),
-                    tap.injector.as_ref().and_then(|injector| injector.record()),
-                );
-            }
             world.step(&tick.command, dt);
-            if let Some(sink) = sink.as_deref_mut() {
-                sink.observe_tick(
-                    tick_index,
-                    world.elapsed(),
-                    &tick,
-                    &pipeline,
-                    tap.detector.as_ref().map(|detector| detector.stats()),
-                    tap.injector.as_ref().and_then(|injector| injector.record()),
-                );
-            }
+            observer.observe(&TickView {
+                index: tick_index,
+                start_time_s,
+                end_time_s: world.elapsed(),
+                state: &state,
+                rays: &ray_hits,
+                tick: &tick,
+                pipeline: &pipeline,
+                detector: tap.second.as_ref().map(|detector| detector.stats()),
+                fault: tap.first.as_ref().and_then(|injector| injector.record()),
+            });
             tick_index += 1;
         }
+        observer.finish();
 
         MissionOutcome {
             qof: QofMetrics {
@@ -373,8 +330,8 @@ impl MissionRunner {
                 distance_m: world.distance_travelled(),
             },
             trail: world.trail().to_vec(),
-            fault: tap.injector.as_ref().and_then(|injector| injector.record().cloned()),
-            detector: tap.detector.as_ref().map(|detector| detector.stats().clone()),
+            fault: tap.first.as_ref().and_then(|injector| injector.record().cloned()),
+            detector: tap.second.as_ref().map(|detector| detector.stats().clone()),
             pipeline: pipeline.stats().clone(),
         }
     }
@@ -415,7 +372,8 @@ mod tests {
     #[test]
     fn recorded_golden_run_is_bit_identical_and_replays() {
         let spec = quick_spec(EnvironmentKind::Sparse, 3);
-        let (outcome, trace) = MissionRunner::new(spec).run_golden_recorded().unwrap();
+        let (outcome, trace) =
+            MissionRunner::new(spec).run_recorded(None, Protection::None, None, None).unwrap();
         // Recording is observational: same outcome as the unrecorded run.
         let baseline = MissionRunner::new(spec).run_golden();
         assert_eq!(outcome.qof, baseline.qof);
@@ -460,8 +418,52 @@ mod tests {
     fn telemetry_collection_accumulates_samples() {
         let mut telemetry = TelemetrySet::new();
         let spec = MissionSpec::new(EnvironmentKind::Farm, 2).with_time_budget(30.0);
-        let outcome = MissionRunner::new(spec).run_collecting_telemetry(&mut telemetry);
-        assert!(telemetry.len() as u64 >= outcome.pipeline.ticks);
+        let outcome =
+            MissionRunner::new(spec).run_observed(None, Protection::None, None, &mut telemetry);
+        assert!(telemetry.len() as u64 >= outcome.unwrap().pipeline.ticks);
         assert!(!telemetry.is_empty());
+    }
+
+    /// Counts hook calls: `(starts, ticks, last post-step time, finishes)`.
+    #[derive(Default)]
+    struct Counting<const RAYS: bool>(u32, u64, f64, u32);
+
+    impl<const RAYS: bool> MissionObserver for Counting<RAYS> {
+        const RAY_FRAMES: bool = RAYS;
+
+        fn start(&mut self, _pipeline: &mut PpcPipeline) {
+            self.0 += 1;
+        }
+
+        fn observe(&mut self, view: &TickView<'_>) {
+            assert_eq!((self.0, view.index), (1, self.1), "ticks follow start, in order");
+            assert!(view.start_time_s < view.end_time_s);
+            assert_eq!(view.rays.rays_cast > 0, RAYS, "rays only with RAY_FRAMES");
+            self.1 += 1;
+            self.2 = view.end_time_s;
+        }
+
+        fn finish(&mut self) {
+            self.3 += 1;
+        }
+    }
+
+    #[test]
+    fn observers_see_every_tick_once_and_change_nothing() {
+        let fault = FaultSpec::new(InjectionTarget::Stage(Stage::Planning), 20, 123);
+        let runner = MissionRunner::new(quick_spec(EnvironmentKind::Sparse, 5));
+        let plain = runner.run(Some(fault), Protection::None, None).unwrap();
+
+        let mut counting = Counting::<false>::default();
+        let outcome = runner.run_observed(Some(fault), Protection::None, None, &mut counting);
+        assert_eq!(outcome.unwrap(), plain);
+        let Counting(starts, ticks, last_time_s, finishes) = counting;
+        assert_eq!((starts, ticks, finishes), (1, plain.pipeline.ticks, 1));
+        assert_eq!(last_time_s, plain.qof.flight_time_s);
+
+        let mut rays = Counting::<true>::default();
+        let outcome = runner.run_observed(Some(fault), Protection::None, None, &mut rays).unwrap();
+        assert_eq!((&outcome.qof, &outcome.trail), (&plain.qof, &plain.trail));
+        assert_eq!(outcome.pipeline, plain.pipeline);
     }
 }

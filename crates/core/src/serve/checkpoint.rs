@@ -238,6 +238,11 @@ fn decode_request(reader: &mut ByteReader<'_>) -> Result<CampaignRequest, TraceE
         mission_time_budget: read_f64_bits(reader)?,
         epochs: reader.read_varint()? as usize,
     };
+    // Admission rejects such a spec; one in a checkpoint would panic the
+    // server in detector training on every resume.
+    training.validate().map_err(|reason| TraceError::Malformed {
+        reason: format!("checkpointed request: {reason}"),
+    })?;
     // Admission always pins a non-zero chunk size; a zero here would be
     // re-resolved on resume and could move the chunk boundaries.
     let batch_size = match reader.read_varint()? {
@@ -370,6 +375,20 @@ mod tests {
         checkpoint.request.batch_size = 0;
         let error = CampaignCheckpoint::decode(&checkpoint.encode()).unwrap_err();
         assert!(matches!(error, TraceError::Malformed { .. }), "{error:?}");
+    }
+
+    #[test]
+    fn an_untrainable_training_spec_is_malformed() {
+        for (missions, budget) in [(0, 25.0), (1, f64::NAN), (1, -1.0), (1, f64::INFINITY)] {
+            let mut checkpoint = sample_checkpoint();
+            checkpoint.request.training.missions = missions;
+            checkpoint.request.training.mission_time_budget = budget;
+            let error = CampaignCheckpoint::decode(&checkpoint.encode()).unwrap_err();
+            assert!(
+                matches!(error, TraceError::Malformed { .. }),
+                "{missions}, {budget}: {error:?}"
+            );
+        }
     }
 
     #[test]

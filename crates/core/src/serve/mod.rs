@@ -1,7 +1,7 @@
 //! Campaign-as-a-service: a sharded, checkpointing campaign server over
 //! the in-repo middleware.
 //!
-//! [`CampaignServer`] promotes [`run_campaign`](crate::exec::run_campaign)
+//! [`CampaignServer`] promotes [`CampaignExecutor::run_campaign`](crate::CampaignExecutor::run_campaign)
 //! from a library call into a long-running service node: clients submit
 //! [`CampaignRequest`]s over a bus service, the server fans each
 //! campaign's jobs out across its persistent worker pool one *chunk* (a

@@ -10,7 +10,7 @@ use mavfi_middleware::node::{Node, NodeContext, NodeError};
 use mavfi_middleware::topic::Bus;
 use mavfi_telemetry::{ServerCounters, TelemetryReport};
 
-use crate::campaign::{CampaignConfig, EnvironmentCampaign};
+use crate::campaign::EnvironmentCampaign;
 use crate::error::MavfiError;
 use crate::exec::{CampaignExecutor, CampaignFoldState, SchemeConfig};
 use crate::serve::checkpoint::{request_job_id, CampaignCheckpoint};
@@ -69,7 +69,7 @@ impl ServerState {
     }
 
     fn admit(&mut self, request: CampaignRequest) -> Result<JobTicket, ServerError> {
-        validate_config(&request.config)?;
+        validate_request(&request)?;
         let mut request = request;
         if request.batch_size == 0 {
             request.batch_size = self.executor.batch_size();
@@ -124,7 +124,8 @@ impl ServerState {
     }
 }
 
-fn validate_config(config: &CampaignConfig) -> Result<(), ServerError> {
+fn validate_request(request: &CampaignRequest) -> Result<(), ServerError> {
+    let config = &request.config;
     if config.golden_runs == 0 && config.injections_per_stage == 0 {
         return Err(ServerError::InvalidRequest {
             reason: "campaign has no runs (golden_runs and injections_per_stage are both 0)".into(),
@@ -135,7 +136,7 @@ fn validate_config(config: &CampaignConfig) -> Result<(), ServerError> {
             reason: format!("mission_time_budget {} is not positive", config.mission_time_budget),
         });
     }
-    Ok(())
+    request.training.validate().map_err(|reason| ServerError::InvalidRequest { reason })
 }
 
 /// A long-running campaign service on the in-repo middleware.
@@ -152,8 +153,8 @@ fn validate_config(config: &CampaignConfig) -> Result<(), ServerError> {
 /// steps loses nothing: a new server pointed at the same checkpoint
 /// directory re-admits every checkpointed job and continues folding from
 /// the last persisted chunk, and the final [`EnvironmentCampaign`] is
-/// byte-identical to an uninterrupted serve and to library
-/// [`run_campaign`](crate::exec::run_campaign) (see
+/// byte-identical to an uninterrupted serve and to the library's
+/// [`CampaignExecutor::run_campaign`] (see
 /// `tests/server_faults.rs`, `docs/SERVING.md`).
 pub struct CampaignServer {
     shared: Arc<Mutex<ServerState>>,

@@ -29,8 +29,8 @@ use mavfi_middleware::trace::{
     compress_container, decompress_container, read_summary, write_varint, ByteReader, TopicDecl,
     TraceError, TraceReader, TraceSummary, TraceWriter,
 };
-use mavfi_ppc::pipeline::PpcTick;
-use mavfi_ppc::states::{Stage, StateField, Trajectory};
+use mavfi_ppc::pipeline::{PpcPipeline, PpcTick};
+use mavfi_ppc::states::{Stage, StateField};
 use mavfi_sim::env::EnvironmentKind;
 use mavfi_sim::geometry::Vec3;
 use mavfi_sim::sensors::{DepthCamera, RayHits};
@@ -41,6 +41,7 @@ use serde::{Deserialize, Serialize};
 use crate::config::{MissionSpec, Protection, TrainingSpec};
 use crate::error::MavfiError;
 use crate::qof::QofMetrics;
+use crate::runner::{MissionObserver, TickView};
 
 /// The topics a mission trace carries.
 ///
@@ -119,19 +120,6 @@ impl TraceTopic {
             Self::Fault => "fault",
             Self::MissionEnd => "mission_end",
         }
-    }
-
-    /// `true` for the pipeline-output topics replay compares bit-for-bit.
-    pub fn is_output(self) -> bool {
-        matches!(
-            self,
-            Self::Command
-                | Self::Monitored
-                | Self::TickFlags
-                | Self::PlannedPath
-                | Self::Detector
-                | Self::Fault
-        )
     }
 
     /// The topic table declared in every mission trace header.
@@ -332,8 +320,7 @@ impl OutputTracker {
     pub(crate) fn emit(
         &mut self,
         tick: &PpcTick,
-        trajectory: &Trajectory,
-        revision: u64,
+        pipeline: &PpcPipeline,
         detector: Option<&DetectorStats>,
         fault: Option<&FaultRecord>,
         mut sink: impl FnMut(TraceTopic, &[u8]),
@@ -372,6 +359,7 @@ impl OutputTracker {
         }
         sink(TraceTopic::TickFlags, &scratch);
 
+        let (trajectory, revision) = (pipeline.trajectory(), pipeline.trajectory_revision());
         if revision != self.last_revision {
             self.last_revision = revision;
             scratch.clear();
@@ -518,8 +506,9 @@ pub(crate) fn decode_mission_end(payload: &[u8]) -> Result<(QofMetrics, u64), Tr
     Ok((QofMetrics { status, flight_time_s, energy_j, distance_m }, ticks))
 }
 
-/// The recording side: owned by [`MissionRunner::run_recorded`]
-/// (`crate::runner`), fed once per tick, finished into a [`MissionTrace`].
+/// The recording side: a [`MissionObserver`] that
+/// [`MissionRunner::run_recorded`] flies with, finished into a
+/// [`MissionTrace`].
 ///
 /// [`MissionRunner::run_recorded`]: crate::runner::MissionRunner::run_recorded
 #[derive(Debug)]
@@ -543,45 +532,8 @@ impl TraceCapture {
         })
     }
 
-    /// Records the tick's inputs (stamped at tick start, before the world
-    /// steps).
-    pub(crate) fn record_inputs(
-        &mut self,
-        tick: u64,
-        sim_time: f64,
-        state: &QuadrotorState,
-        rays: &RayHits,
-    ) {
-        self.last_tick = tick;
-        self.last_sim_time = sim_time;
-        let mut payload = Vec::new();
-        self.inputs.encode_state(&mut payload, state);
-        self.writer.record(TraceTopic::VehicleState.id(), tick, sim_time, &payload);
-        self.inputs.encode_rays(&mut payload, rays);
-        self.writer.record(TraceTopic::DepthRays.id(), tick, sim_time, &payload);
-    }
-
-    /// Records the tick's pipeline outputs (same tick-start stamp as the
-    /// inputs).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn record_outputs(
-        &mut self,
-        tick: u64,
-        sim_time: f64,
-        ppc_tick: &PpcTick,
-        trajectory: &Trajectory,
-        revision: u64,
-        detector: Option<&DetectorStats>,
-        fault: Option<&FaultRecord>,
-    ) {
-        let writer = &mut self.writer;
-        self.outputs.emit(ppc_tick, trajectory, revision, detector, fault, |topic, payload| {
-            writer.record(topic.id(), tick, sim_time, payload);
-        });
-    }
-
     /// Appends the mission-end record and returns the finished trace.
-    pub(crate) fn finish(mut self, qof: &QofMetrics, ticks: u64) -> MissionTrace {
+    pub(crate) fn into_trace(mut self, qof: &QofMetrics, ticks: u64) -> MissionTrace {
         let mut payload = Vec::new();
         encode_mission_end(&mut payload, qof, ticks);
         self.writer.record(
@@ -591,6 +543,27 @@ impl TraceCapture {
             &payload,
         );
         MissionTrace { stream: self.writer.finish() }
+    }
+}
+
+/// Records each tick's inputs (vehicle state, depth rays) and then its
+/// pipeline outputs, all stamped at tick start.
+impl MissionObserver for TraceCapture {
+    const RAY_FRAMES: bool = true;
+
+    fn observe(&mut self, view: &TickView<'_>) {
+        let (tick, sim_time) = (view.index, view.start_time_s);
+        self.last_tick = tick;
+        self.last_sim_time = sim_time;
+        let mut payload = Vec::new();
+        self.inputs.encode_state(&mut payload, view.state);
+        self.writer.record(TraceTopic::VehicleState.id(), tick, sim_time, &payload);
+        self.inputs.encode_rays(&mut payload, view.rays);
+        self.writer.record(TraceTopic::DepthRays.id(), tick, sim_time, &payload);
+        let writer = &mut self.writer;
+        self.outputs.emit(view.tick, view.pipeline, view.detector, view.fault, |topic, payload| {
+            writer.record(topic.id(), tick, sim_time, payload);
+        });
     }
 }
 
@@ -604,7 +577,8 @@ impl TraceCapture {
 /// use mavfi::replay::ReplayHarness;
 ///
 /// let spec = MissionSpec::new(EnvironmentKind::Sparse, 3);
-/// let (outcome, trace) = MissionRunner::new(spec).run_golden_recorded().unwrap();
+/// let (outcome, trace) =
+///     MissionRunner::new(spec).run_recorded(None, Protection::None, None, None).unwrap();
 /// let report = ReplayHarness::new(&trace).replay().unwrap();
 /// assert!(report.is_match());
 /// assert_eq!(report.ticks, outcome.pipeline.ticks);

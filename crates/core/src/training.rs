@@ -7,7 +7,7 @@ use mavfi_detect::training::TelemetrySet;
 use mavfi_nn::train::TrainConfig;
 use mavfi_sim::env::EnvironmentKind;
 
-use crate::config::{MissionSpec, TrainingSpec};
+use crate::config::{MissionSpec, Protection, TrainingSpec};
 use crate::runner::{MissionRunner, TrainedDetectors};
 
 /// Trains both detection schemes on telemetry collected from error-free
@@ -53,7 +53,8 @@ pub fn train_detectors_in(
     for index in 0..spec.missions {
         let mission = MissionSpec::new(environment, spec.base_seed + index as u64)
             .with_time_budget(spec.mission_time_budget);
-        let _ = MissionRunner::new(mission).run_collecting_telemetry(&mut telemetry);
+        let _ =
+            MissionRunner::new(mission).run_observed(None, Protection::None, None, &mut telemetry);
     }
 
     let gad = telemetry.build_gad(CgadConfig::default());

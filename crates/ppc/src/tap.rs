@@ -92,6 +92,34 @@ impl<T: StageTap + ?Sized> StageTap for &mut T {
     }
 }
 
+/// An optional tap: `None` does nothing.
+impl<T: StageTap> StageTap for Option<T> {
+    fn after_point_cloud(&mut self, cloud: &mut PointCloud) {
+        if let Some(tap) = self {
+            tap.after_point_cloud(cloud);
+        }
+    }
+
+    fn after_occupancy(&mut self, grid: &mut OccupancyGrid) {
+        if let Some(tap) = self {
+            tap.after_occupancy(grid);
+        }
+    }
+
+    fn after_perception(&mut self, estimate: &mut CollisionEstimate) -> TapAction {
+        self.as_mut().map_or(TapAction::Continue, |tap| tap.after_perception(estimate))
+    }
+
+    fn after_planning(&mut self, trajectory: &mut Trajectory, active_index: usize) -> TapAction {
+        self.as_mut()
+            .map_or(TapAction::Continue, |tap| tap.after_planning(trajectory, active_index))
+    }
+
+    fn after_control(&mut self, command: &mut FlightCommand) -> TapAction {
+        self.as_mut().map_or(TapAction::Continue, |tap| tap.after_control(command))
+    }
+}
+
 /// Runs two taps in sequence (first `A`, then `B`) and merges their
 /// verdicts.  The mission runner composes the fault injector (first) with
 /// the detector (second) this way, so the detector observes already

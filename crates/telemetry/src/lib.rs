@@ -15,7 +15,8 @@
 //!   in ticks exactly as the paper frames it.
 //! * [`MissionTelemetry`] / [`TelemetryReport`] — the per-mission sink the
 //!   runner feeds each tick, and the serde-serialised campaign rollup
-//!   `run_campaign` merges in deterministic run order (fixed order,
+//!   `CampaignExecutor::run_campaign_instrumented` merges in deterministic
+//!   run order (fixed order,
 //!   histogram bucket-wise addition).
 //!
 //! The one rule everything here obeys: **wall clock never feeds results**.

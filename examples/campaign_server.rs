@@ -8,7 +8,8 @@
 //! tiny campaign, kill the server after one checkpointed stride, resume on
 //! a fresh server over the same checkpoint directory, and verify that the
 //! final result is byte-identical to both an uninterrupted serve and the
-//! library `run_campaign` call — exiting non-zero on any mismatch.
+//! library `CampaignExecutor::run_campaign` call — exiting non-zero on any
+//! mismatch.
 //! `scripts/check.sh` runs this mode.
 //!
 //! See `docs/SERVING.md` for the protocol, determinism contract and

@@ -25,7 +25,7 @@ fn main() -> Result<(), MavfiError> {
         seed: 9,
     };
     let mut sink = MissionTelemetry::new();
-    let outcome = MissionRunner::new(spec).run_instrumented(
+    let outcome = MissionRunner::new(spec).run_observed(
         Some(fault),
         Protection::Autoencoder,
         Some(&detectors),
@@ -83,7 +83,8 @@ fn main() -> Result<(), MavfiError> {
         base_seed: 7,
         mission_time_budget: 60.0,
     };
-    let (campaign, rollup) = run_campaign_instrumented(&config, &scheme, 0)?;
+    let (campaign, rollup) =
+        CampaignExecutor::from_env().run_campaign_instrumented(&config, &scheme)?;
 
     println!("\n=== Campaign rollup (1 golden + 3 injections x 3 settings) ===");
     println!(

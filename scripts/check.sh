@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# The full local lint gate: formatting, clippy (warnings are errors),
+# The full local lint gate: formatting and clippy (warnings are errors)
+# over the workspace and the separate perfbench/ workspace,
 # rustdoc (warnings are errors, including broken intra-doc links — the
 # `docs/` markdown pages are included into the `mavfi-suite` crate docs, so
 # the same gate covers them), smoke runs of the examples, the bench-log
@@ -21,6 +22,13 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# perfbench/ is a cargo workspace of its own, so the two steps above skip it.
+echo "==> cargo fmt --check (perfbench)"
+cargo fmt --manifest-path perfbench/Cargo.toml --check
+
+echo "==> cargo clippy --all-targets -- -D warnings (perfbench)"
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+
 echo "==> RUSTDOCFLAGS=-Dwarnings cargo doc --no-deps (includes docs/*.md)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --quiet
 
@@ -38,7 +46,8 @@ echo "==> bench log gate: BENCH_9.json -> BENCH_10.json (bench_compare)"
 
 echo "==> benchmark on this tree: every perfbench workload, 2 s, output checks pass"
 # Each workload checks its own outputs (served results against the library
-# run_campaign byte for byte, the traced loop against MissionRunner::run)
+# CampaignExecutor::run_campaign byte for byte, the traced loop against
+# MissionRunner::run)
 # and reports them in the JSON object on its last line.
 for workload in golden_replan farm_protected served_campaigns; do
   result=$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \

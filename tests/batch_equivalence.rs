@@ -6,12 +6,12 @@
 
 use mavfi_suite::prelude::*;
 
-fn quick_detectors() -> TrainedDetectors {
+fn quick_detectors() -> std::sync::Arc<TrainedDetectors> {
     // The same quick-training convention the detection suite uses; the
     // process-wide cache shares the trained bank across tests.
     let training =
         TrainingSpec { missions: 2, base_seed: 640, mission_time_budget: 30.0, epochs: 10 };
-    (*TrainedDetectorCache::global().get_or_train(EnvironmentKind::Randomized, &training)).clone()
+    TrainedDetectorCache::global().get_or_train(EnvironmentKind::Randomized, &training)
 }
 
 /// The campaign engine assembles the exact same campaign as the serial,
@@ -26,7 +26,7 @@ fn batched_campaigns_match_sequential_for_every_batch_size_and_worker_count() {
         base_seed: 17,
         mission_time_budget: 40.0,
     };
-    let scheme = SchemeConfig::trained(detectors);
+    let scheme = SchemeConfig::shared(detectors);
     let sequential = CampaignExecutor::with_pool(WorkerPool::serial())
         .with_batch_size(1)
         .run_campaign(&config, &scheme)

@@ -45,10 +45,7 @@ fn table2_overheads_follow_the_paper_ordering() {
     // derive Table II from it.
     let training =
         TrainingSpec { missions: 1, base_seed: 931, mission_time_budget: 25.0, epochs: 5 };
-    let detectors = (*TrainedDetectorCache::global()
-        .get_or_train(EnvironmentKind::Randomized, &training))
-    .clone();
-    let runner = CampaignRunner::new(detectors);
+    let scheme = SchemeConfig::cached(EnvironmentKind::Randomized, training);
     let config = CampaignConfig {
         environment: EnvironmentKind::Farm,
         golden_runs: 1,
@@ -56,7 +53,8 @@ fn table2_overheads_follow_the_paper_ordering() {
         base_seed: 88,
         mission_time_budget: 150.0,
     };
-    let campaign = runner.run_environment(&config).expect("quick campaign");
+    let campaign =
+        CampaignExecutor::from_env().run_campaign(&config, &scheme).expect("quick campaign");
     let overheads = table2::from_campaigns(std::slice::from_ref(&campaign));
     assert_eq!(overheads.environments.len(), 1);
     let env = &overheads.environments[0];

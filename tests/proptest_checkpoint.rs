@@ -66,7 +66,8 @@ fn arb_environment() -> impl Strategy<Value = EnvironmentKind> {
 fn arb_request() -> impl Strategy<Value = CampaignRequest> {
     (
         (arb_environment(), 0usize..40, 0usize..40, any::<u64>(), arb_f64()),
-        (arb_environment(), 0usize..5, any::<u64>(), arb_f64(), 0usize..9),
+        // Only trainable specs: decode rejects the rest as malformed.
+        (arb_environment(), 1usize..5, any::<u64>(), 1.0e-3..1.0e6f64, 0usize..9),
         1usize..64,
     )
         .prop_map(

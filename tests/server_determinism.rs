@@ -1,5 +1,5 @@
 //! The campaign service must be invisible in the results: a served campaign
-//! is bit-identical to the library [`run_campaign`] call across the full
+//! is bit-identical to the library [`CampaignExecutor::run_campaign`] call across the full
 //! matrix of worker counts {1, 2, 8} x batch sizes {1, 8, 32} x concurrent
 //! client counts {1, 3}.  Worker count, chunking and submission concurrency
 //! may change wall-clock behaviour, never bytes.

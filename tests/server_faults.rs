@@ -304,6 +304,32 @@ fn dropped_and_invalid_submissions_fail_typed_never_panic() {
     assert_eq!(server.job_count(), 1, "rejected requests are not admitted");
 }
 
+#[test]
+fn untrainable_training_specs_are_rejected_at_admission() {
+    // Detector training needs at least one mission with a finite, positive
+    // budget; admitting anything else would checkpoint a job whose first
+    // step panics in training, on this server and on every restart.
+    let dir = fresh_dir("bad_training");
+    let bus = Bus::new();
+    let server = CampaignServer::new(CampaignExecutor::new(1), &dir).expect("create server");
+    server.attach(&bus);
+    let client = CampaignClient::new(&bus);
+
+    let mut no_missions = quick_request(906);
+    no_missions.training.missions = 0;
+    let mut nan_budget = quick_request(906);
+    nan_budget.training.mission_time_budget = f64::NAN;
+    for request in [no_missions, nan_budget] {
+        let result = client.submit(&request);
+        assert!(matches!(result, Err(ServerError::InvalidRequest { .. })), "{result:?}");
+    }
+    assert_eq!(server.job_count(), 0, "rejected requests are not admitted");
+    let written = std::fs::read_dir(&dir).expect("list checkpoint dir").flatten().filter(|entry| {
+        entry.path().extension().is_some_and(|extension| extension == CHECKPOINT_EXTENSION)
+    });
+    assert_eq!(written.count(), 0, "no checkpoint is written for a rejected request");
+}
+
 /// An unwritable checkpoint store must not lose work or panic: each stride
 /// still executes and streams progress, the write failure crashes the node
 /// with a diagnosable reason (surfaced through the executor's registry),

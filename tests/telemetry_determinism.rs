@@ -38,7 +38,7 @@ fn instrumented_mission_is_bit_identical_to_uninstrumented() {
     let plain = runner.run(Some(fault), Protection::Autoencoder, Some(&detectors)).unwrap();
     let mut sink = MissionTelemetry::new();
     let observed = runner
-        .run_instrumented(Some(fault), Protection::Autoencoder, Some(&detectors), &mut sink)
+        .run_observed(Some(fault), Protection::Autoencoder, Some(&detectors), &mut sink)
         .unwrap();
 
     // The whole outcome — qof, trail, fault record, detector stats,
@@ -64,7 +64,7 @@ fn golden_mission_is_bit_identical_to_uninstrumented() {
     let runner = MissionRunner::new(spec);
     let plain = runner.run_golden();
     let mut sink = MissionTelemetry::new();
-    let observed = runner.run_golden_instrumented(&mut sink);
+    let observed = runner.run_observed(None, Protection::None, None, &mut sink).unwrap();
     assert_eq!(plain, observed);
     assert_eq!(sink.counters().ticks, observed.pipeline.ticks);
 }
@@ -75,11 +75,12 @@ fn campaign_rollup_is_deterministic_and_inert_across_worker_counts() {
     let config = quick_campaign();
 
     // The reference: no telemetry at all.
-    let plain = run_campaign(&config, &scheme, 4).unwrap();
+    let plain = CampaignExecutor::new(4).run_campaign(&config, &scheme).unwrap();
 
     let mut views = Vec::new();
     for workers in [1usize, 2, 8] {
-        let (campaign, report) = run_campaign_instrumented(&config, &scheme, workers).unwrap();
+        let (campaign, report) =
+            CampaignExecutor::new(workers).run_campaign_instrumented(&config, &scheme).unwrap();
         // Inert: campaign results identical to the uninstrumented run.
         assert_eq!(campaign, plain, "telemetry must not change results ({workers} workers)");
         // 1 golden + 3 faults x 3 protection settings.
