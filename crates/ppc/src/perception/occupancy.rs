@@ -351,8 +351,14 @@ impl OccupancyGrid {
     /// Samples [`OccupancyGrid::is_occupied_near`] every half resolution
     /// along the segment; free-space samples cost one near-mask probe each,
     /// so only the stretches of a segment that actually pass close to
-    /// obstacles pay for neighbourhood scans.
+    /// obstacles pay for neighbourhood scans.  A segment with a non-finite
+    /// endpoint is never free.
     pub fn segment_free(&self, a: Vec3, b: Vec3, margin: f64) -> bool {
+        // A non-finite endpoint has no samples to march (NaN length) or
+        // unboundedly many (infinite length); either way it is not free.
+        if !(a.is_finite() && b.is_finite()) {
+            return false;
+        }
         if self.voxels.is_empty() {
             return true;
         }
@@ -437,6 +443,25 @@ mod tests {
         assert!(!grid.segment_free(Vec3::ZERO, Vec3::new(10.0, 0.0, 0.0), 0.3));
         assert!(grid.segment_free(Vec3::ZERO, Vec3::new(0.0, 10.0, 0.0), 0.3));
         assert!(grid.segment_free(Vec3::new(0.0, 5.0, 0.0), Vec3::new(10.0, 5.0, 0.0), 0.3));
+    }
+
+    /// A non-finite endpoint makes a segment blocked: a NaN length used to
+    /// march zero steps and an infinite one `usize::MAX` steps.
+    #[test]
+    fn segments_with_non_finite_endpoints_are_not_free() {
+        let mut grid = OccupancyGrid::new(0.5);
+        let goal = Vec3::new(10.0, 0.0, 0.0);
+        for bad in [Vec3::new(f64::NAN, 0.0, 0.0), Vec3::new(0.0, f64::NEG_INFINITY, 0.0)] {
+            assert!(!grid.segment_free(bad, goal, 0.7), "empty grid, {bad:?}");
+        }
+        grid.insert_point(Vec3::new(5.0, 0.0, 0.0));
+        assert!(!grid.segment_free(Vec3::new(f64::NAN, 0.0, 0.0), goal, 0.7));
+        assert!(!grid.segment_free(goal, Vec3::new(0.0, 0.0, f64::NAN), 0.7));
+        // A voxel off the line: this used to never return.
+        let mut off_line = OccupancyGrid::new(0.5);
+        off_line.insert_point(Vec3::new(5.0, 5.0, 0.0));
+        assert!(!off_line.segment_free(Vec3::ZERO, Vec3::new(f64::INFINITY, 0.0, 0.0), 0.7));
+        assert!(off_line.segment_free(Vec3::ZERO, goal, 0.7));
     }
 
     #[test]

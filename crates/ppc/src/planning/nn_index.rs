@@ -29,8 +29,10 @@
 //!   can contain a strictly closer *or equal-distance lower-index* node.
 //! * [`NnIndex::within_radius`] returns exactly the indices whose positions
 //!   satisfy `position.distance(query) <= radius` (same inclusive
-//!   comparison), sorted ascending — the order an index-ordered linear
-//!   filter produces.
+//!   comparison), each with the exact distance bits that test computed.
+//!   The hits are **unordered**: the set is the linear filter's, the
+//!   order is whatever the cell walk meets, so callers must not depend on
+//!   it.
 //!
 //! Storage is pooled per the workspace scratch convention
 //! (`docs/PERFORMANCE.md`): the planner owns one `NnIndex` for the lifetime
@@ -42,6 +44,8 @@
 //! per-cell `Vec`s, and `reset` empties only the cells the previous tree
 //! used — O(previous nodes), not O(region) — so the table is all-empty
 //! between trees and a new region merely resizes it.
+
+use std::ops::RangeInclusive;
 
 use mavfi_sim::geometry::{Aabb, Vec3};
 
@@ -78,6 +82,12 @@ const MAX_TABLE_KEY: f64 = (1u64 << 40) as f64;
 /// farther queries take the linear scan.
 const MAX_WALK_KEY: u64 = 1 << 41;
 
+/// Widest search box, in cells per axis, that [`NnIndex::within_radius`]
+/// walks with per-axis gap tables; wider boxes take the general loop.  A
+/// rewiring radius of two cells (RRT*'s 5 m over 2.5 m cells) spans at
+/// most five.
+const GAP_CELLS: usize = 8;
+
 /// A pooled, incrementally built uniform-grid index over points, returning
 /// nearest-neighbour and radius queries bit-identical to linear scans.
 ///
@@ -98,7 +108,7 @@ const MAX_WALK_KEY: u64 = 1 << 41;
 /// assert_eq!(index.nearest(Vec3::new(8.0, 0.0, 0.0)), 1);
 /// let mut out = Vec::new();
 /// index.within_radius(Vec3::ZERO, 1.0, &mut out);
-/// assert_eq!(out, [0]);
+/// assert_eq!(out, [(0, 0.0)]);
 /// ```
 #[derive(Debug)]
 pub struct NnIndex {
@@ -416,20 +426,42 @@ impl NnIndex {
         best
     }
 
-    /// Collects into `out` the indices of every point with
-    /// `position.distance(query) <= radius` (inclusive, the linear filter's
-    /// exact comparison), sorted ascending — the order an index-ordered
-    /// linear filter produces.  `out` is cleared first (clear-then-fill).
-    pub fn within_radius(&self, query: Vec3, radius: f64, out: &mut Vec<usize>) {
+    /// Collects into `out` every point with `position.distance(query) <=
+    /// radius` (inclusive, the linear filter's exact comparison), each
+    /// paired with that distance — the exact bits of
+    /// `positions[i].distance(query)`.  The hits come in no particular
+    /// order; an index-ordered linear filter yields the same set ascending.
+    /// `out` is cleared first (clear-then-fill).
+    pub fn within_radius(&self, query: Vec3, radius: f64, out: &mut Vec<(usize, f64)>) {
         out.clear();
-        let mut node = self.overflow;
-        while node != NONE {
-            let candidate = node as usize;
-            if self.positions[candidate].distance(query) <= radius {
-                out.push(candidate);
+        // Cells whose axis-aligned box lies strictly beyond `radius` from
+        // the query cannot hold a point passing the inclusive distance test,
+        // so skipping them is result-preserving.  The bound gets a relative
+        // slack so float rounding in the bound itself can never out-prune
+        // the exact comparison (corner cells of the search box are most of
+        // its volume at this cell-to-radius ratio).  The same bound screens
+        // single points by squared distance: `distance` is `dot().sqrt()`
+        // and the square root is correctly rounded, so a distance within
+        // `radius` comes from a square within `prune_sq`; only points that
+        // fail the exact test are skipped, and survivors take the root of
+        // the very `dot` that `distance` computes.
+        let prune_sq = (radius * radius) * (1.0 + 1e-9);
+        let mut collect = |head: u32| {
+            let mut node = head;
+            while node != NONE {
+                let candidate = node as usize;
+                let offset = self.positions[candidate] - query;
+                let distance_sq = offset.dot(offset);
+                if distance_sq <= prune_sq {
+                    let distance = distance_sq.sqrt();
+                    if distance <= radius {
+                        out.push((candidate, distance));
+                    }
+                }
+                node = self.next[candidate];
             }
-            node = self.next[candidate];
-        }
+        };
+        collect(self.overflow);
         let lo = self.key_for(query - Vec3::splat(radius));
         let hi = self.key_for(query + Vec3::splat(radius));
         // Clipped to the occupied box, so every visited cell is a table
@@ -437,41 +469,61 @@ impl NnIndex {
         let x_range = lo.x.max(self.min_cell.x)..=hi.x.min(self.max_cell.x);
         let y_range = lo.y.max(self.min_cell.y)..=hi.y.min(self.max_cell.y);
         let z_range = lo.z.max(self.min_cell.z)..=hi.z.min(self.max_cell.z);
-        // Cells whose axis-aligned box lies strictly beyond `radius` from
-        // the query cannot hold a point passing the inclusive distance test
-        // below, so skipping them is result-preserving.  The bound gets a
-        // relative slack so float rounding in the bound itself can never
-        // out-prune the exact comparison (corner cells of the search box are
-        // most of its volume at this cell-to-radius ratio).
-        let prune_sq = (radius * radius) * (1.0 + 1e-9);
+        if x_range.is_empty() || y_range.is_empty() || z_range.is_empty() {
+            return;
+        }
         let axis_gap_sq = |cell: i64, coordinate: f64| -> f64 {
             let low = cell as f64 * self.cell_size;
             let gap = (low - coordinate).max(coordinate - (low + self.cell_size)).max(0.0);
             gap * gap
         };
-        for x in x_range {
-            let x_gap_sq = axis_gap_sq(x, query.x);
-            for y in y_range.clone() {
-                let xy_gap_sq = x_gap_sq + axis_gap_sq(y, query.y);
+        // The ranges lie inside the occupied box, so their spans cannot
+        // overflow.
+        let fits = |range: &RangeInclusive<i64>| range.end() - range.start() < GAP_CELLS as i64;
+        if !(fits(&x_range) && fits(&y_range) && fits(&z_range)) {
+            for x in x_range {
+                let x_gap_sq = axis_gap_sq(x, query.x);
+                for y in y_range.clone() {
+                    let xy_gap_sq = x_gap_sq + axis_gap_sq(y, query.y);
+                    if xy_gap_sq > prune_sq {
+                        continue;
+                    }
+                    for z in z_range.clone() {
+                        if xy_gap_sq + axis_gap_sq(z, query.z) <= prune_sq {
+                            collect(self.heads[self.table_slot(x, y, z)]);
+                        }
+                    }
+                }
+            }
+            return;
+        }
+        // The common case: per-axis gap tables, and each (x, y) row's z run
+        // walked as contiguous slots (z is the table's fastest axis).
+        let gaps = |range: &RangeInclusive<i64>, coordinate: f64| {
+            let mut gaps = [0.0; GAP_CELLS];
+            for (gap, cell) in gaps.iter_mut().zip(range.clone()) {
+                *gap = axis_gap_sq(cell, coordinate);
+            }
+            gaps
+        };
+        let (x_gaps, y_gaps) = (gaps(&x_range, query.x), gaps(&y_range, query.y));
+        let z_cells = (z_range.end() - z_range.start() + 1) as usize;
+        let z_gaps = gaps(&z_range, query.z);
+        let z_gaps = &z_gaps[..z_cells];
+        for (x, x_gap_sq) in x_range.zip(x_gaps) {
+            for (y, y_gap_sq) in y_range.clone().zip(y_gaps) {
+                let xy_gap_sq = x_gap_sq + y_gap_sq;
                 if xy_gap_sq > prune_sq {
                     continue;
                 }
-                for z in z_range.clone() {
-                    if xy_gap_sq + axis_gap_sq(z, query.z) > prune_sq {
-                        continue;
-                    }
-                    let mut node = self.heads[self.table_slot(x, y, z)];
-                    while node != NONE {
-                        let candidate = node as usize;
-                        if self.positions[candidate].distance(query) <= radius {
-                            out.push(candidate);
-                        }
-                        node = self.next[candidate];
+                let base = self.table_slot(x, y, *z_range.start());
+                for (&head, &z_gap_sq) in self.heads[base..base + z_cells].iter().zip(z_gaps) {
+                    if xy_gap_sq + z_gap_sq <= prune_sq {
+                        collect(head);
                     }
                 }
             }
         }
-        out.sort_unstable();
     }
 }
 
@@ -498,6 +550,23 @@ mod tests {
             .filter(|(_, p)| p.distance(query) <= radius)
             .map(|(index, _)| index)
             .collect()
+    }
+
+    /// Asserts that `hits` — a `within_radius` answer, in any order — holds
+    /// exactly the linear filter's indices, each with the exact bits of
+    /// `points[i].distance(query)`.
+    fn assert_hits(hits: &[(usize, f64)], points: &[Vec3], query: Vec3, radius: f64) {
+        let mut sorted = hits.to_vec();
+        sorted.sort_unstable_by_key(|&(index, _)| index);
+        let indices: Vec<usize> = sorted.iter().map(|&(index, _)| index).collect();
+        assert_eq!(indices, linear_within(points, query, radius), "{query:?} r={radius}");
+        for (index, distance) in sorted {
+            assert_eq!(
+                distance.to_bits(),
+                points[index].distance(query).to_bits(),
+                "distance of {index} from {query:?}"
+            );
+        }
     }
 
     /// A deterministic, clumpy point set of `count` base points (clumps
@@ -549,7 +618,7 @@ mod tests {
             assert_eq!(index.nearest(query), linear_nearest(points, query), "nearest {query:?}");
             for radius in [0.0, 1.0, 5.0, 12.0] {
                 index.within_radius(query, radius, &mut out);
-                assert_eq!(out, linear_within(points, query, radius), "{query:?} r={radius}");
+                assert_hits(&out, points, query, radius);
             }
         }
     }
@@ -568,7 +637,7 @@ mod tests {
     }
 
     #[test]
-    fn within_radius_matches_linear_filter_order_and_content() {
+    fn within_radius_matches_linear_filter_content_and_distances() {
         let points = test_points();
         let index = filled(2.5, covering_region(), &points);
         let mut out = Vec::new();
@@ -578,7 +647,7 @@ mod tests {
                 Vec3::new((f * 0.37).sin() * 22.0, (f * 0.83).cos() * 14.0, (f * 0.53).sin() * 7.0);
             for radius in [0.0, 1.0, 5.0, 12.0] {
                 index.within_radius(query, radius, &mut out);
-                assert_eq!(out, linear_within(&points, query, radius), "query {i} r={radius}");
+                assert_hits(&out, &points, query, radius);
             }
         }
     }
@@ -596,7 +665,7 @@ mod tests {
             let query = point + Vec3::new(0.4, -0.7, 0.2);
             assert_eq!(index.nearest(query), linear_nearest(&inserted, query));
             index.within_radius(query, 4.0, &mut out);
-            assert_eq!(out, linear_within(&inserted, query, 4.0));
+            assert_hits(&out, &inserted, query, 4.0);
         }
     }
 
@@ -692,7 +761,7 @@ mod tests {
     #[test]
     fn within_radius_on_empty_index_is_empty() {
         let index = NnIndex::new();
-        let mut out = vec![7usize];
+        let mut out = vec![(7, 1.0)];
         index.within_radius(Vec3::ZERO, 10.0, &mut out);
         assert!(out.is_empty());
     }

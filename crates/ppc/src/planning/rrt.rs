@@ -167,7 +167,9 @@ impl MotionPlanner for Rrt {
         out: &mut PlannedPath,
     ) -> bool {
         out.waypoints.clear();
-        if !model.point_free(goal, self.config.margin) {
+        // A non-finite start cannot root a tree; no model calls a segment
+        // from it free, so no straight path leaves it either.
+        if !start.is_finite() || !model.point_free(goal, self.config.margin) {
             return false;
         }
         // Direct connection shortcut.

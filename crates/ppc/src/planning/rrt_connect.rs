@@ -132,7 +132,9 @@ impl MotionPlanner for RrtConnect {
         out: &mut PlannedPath,
     ) -> bool {
         out.waypoints.clear();
-        if !model.point_free(goal, self.config.margin) {
+        // A non-finite start cannot root a tree; no model calls a segment
+        // from it free, so no straight path leaves it either.
+        if !start.is_finite() || !model.point_free(goal, self.config.margin) {
             return false;
         }
         if model.segment_free(start, goal, self.config.margin) {

@@ -1,5 +1,7 @@
 //! RRT* planner: RRT with optimal parent selection and rewiring.
 
+use std::cmp::Ordering;
+
 use mavfi_sim::geometry::Vec3;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -11,6 +13,11 @@ use crate::planning::space::{MotionPlanner, ObstacleModel, PlannedPath, PlannerC
 
 /// Sentinel for "no node" in the pooled child-link arrays.
 const NONE: u32 = u32::MAX;
+
+/// Parent-candidate key of the steering node when it lies outside the
+/// rewiring radius: above every node index, so among equal costs it is
+/// tried last.
+const UNLISTED: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy)]
 struct StarNode {
@@ -141,19 +148,61 @@ fn select_best_goal(nodes: &[StarNode], candidates: &[usize], goal: Vec3) -> Opt
     best
 }
 
-/// Removes and returns the candidate with the smallest `(cost, sequence)`
-/// key, comparing costs by `total_cmp`; `None` once `candidates` is empty.
+/// Parent candidates keyed `(prospective cost, node index)`, the unlisted
+/// steering node keyed [`UNLISTED`], with the position of the cheapest key
+/// tracked as they arrive.
 ///
-/// The sequence positions are distinct, so the keys are unique and repeated
-/// calls yield the candidates in exactly the order a sort by the same key
-/// would — while costing O(candidates) per call instead of a full sort up
-/// front when only the first one or two are ever taken.
-fn take_cheapest(candidates: &mut Vec<(f64, u32)>) -> Option<(f64, u32)> {
-    let (cheapest, _) = candidates
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))?;
-    Some(candidates.swap_remove(cheapest))
+/// Keys order costs by `total_cmp` and break ties by node index, so every
+/// key is unique and taking them cheapest first visits them in exactly the
+/// order a sort would.
+#[derive(Debug, Default)]
+struct ParentCandidates {
+    keys: Vec<(f64, u32)>,
+    cheapest: usize,
+}
+
+fn key_order(a: &(f64, u32), b: &(f64, u32)) -> Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+impl ParentCandidates {
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.cheapest = 0;
+    }
+
+    fn push(&mut self, key: (f64, u32)) {
+        if self.keys.get(self.cheapest).map_or(true, |best| key_order(&key, best).is_lt()) {
+            self.cheapest = self.keys.len();
+        }
+        self.keys.push(key);
+    }
+
+    /// Removes and returns the cheapest candidate by one O(candidates)
+    /// scan; `None` once no candidate is left.
+    fn take_cheapest(&mut self) -> Option<(f64, u32)> {
+        let (cheapest, _) =
+            self.keys.iter().enumerate().min_by(|(_, a), (_, b)| key_order(a, b))?;
+        Some(self.keys.swap_remove(cheapest))
+    }
+
+    /// Removes candidates cheapest first until `free(node key)` holds and
+    /// returns that one, or `None` when every candidate is blocked.  Call
+    /// once per fill.  The tracked cheapest key comes first without a scan;
+    /// only when its march is blocked is each further candidate found by
+    /// [`ParentCandidates::take_cheapest`] — cheaper than sorting all ~50
+    /// up front, since the cheapest almost always wins.
+    fn first_free(&mut self, mut free: impl FnMut(u32) -> bool) -> Option<(f64, u32)> {
+        let mut next =
+            (self.cheapest < self.keys.len()).then(|| self.keys.swap_remove(self.cheapest));
+        while let Some(key) = next {
+            if free(key.1) {
+                return Some(key);
+            }
+            next = self.take_cheapest();
+        }
+        None
+    }
 }
 
 /// RRT*: the default motion planner of the paper's PPC pipeline.
@@ -180,7 +229,8 @@ pub struct RrtStar {
     // Everything below is pooled across `plan` calls per the scratch-buffer
     // convention (docs/PERFORMANCE.md): cleared, never shrunk.
     nodes: Vec<StarNode>,
-    neighbours: Vec<usize>,
+    // The rewiring neighbourhood: `(node index, distance to the new node)`.
+    neighbours: Vec<(usize, f64)>,
     // Spatial index over tree nodes for `nearest` and the rewiring-radius
     // query (bit-identical to the linear scans; `use_index` is the
     // verification knob).
@@ -191,15 +241,14 @@ pub struct RrtStar {
     worklist: Vec<u32>,
     // Nodes with a verified collision-free hop to the goal.
     goal_candidates: Vec<usize>,
-    // Parent candidates `(prospective cost, sequence position)`, taken
-    // cheapest first so the best-parent scan can stop at the first
-    // collision-free one.
-    parent_candidates: Vec<(f64, u32)>,
-    // `neighbours[i].position.distance(new_position)`, filled alongside
-    // `parent_candidates` and reused by the rewire pass (positions never
-    // move, so the values stay exact; `Vec3::distance` is symmetric
-    // bit-for-bit — negation is exact, the squares are identical).
-    neighbour_distances: Vec<f64>,
+    // Parent candidates, taken cheapest first so the best-parent scan can
+    // stop at the first collision-free one.
+    parent_candidates: ParentCandidates,
+    // `neighbours[i]`'s cost before the rewire pass, read once while the
+    // parent candidates are built.
+    pre_costs: Vec<f64>,
+    // Neighbours that can still be rewired, in ascending node order.
+    rewire_survivors: Vec<(usize, f64)>,
 }
 
 impl RrtStar {
@@ -216,8 +265,9 @@ impl RrtStar {
             children: ChildLinks::default(),
             worklist: Vec::new(),
             goal_candidates: Vec::new(),
-            parent_candidates: Vec::new(),
-            neighbour_distances: Vec::new(),
+            parent_candidates: ParentCandidates::default(),
+            pre_costs: Vec::new(),
+            rewire_survivors: Vec::new(),
         }
     }
 
@@ -249,7 +299,9 @@ impl MotionPlanner for RrtStar {
         out: &mut PlannedPath,
     ) -> bool {
         out.waypoints.clear();
-        if !model.point_free(goal, self.config.margin) {
+        // A non-finite start cannot root a tree; no model calls a segment
+        // from it free, so no straight path leaves it either.
+        if !start.is_finite() || !model.point_free(goal, self.config.margin) {
             return false;
         }
         if model.segment_free(start, goal, self.config.margin) {
@@ -292,65 +344,53 @@ impl MotionPlanner for RrtStar {
                 continue;
             }
 
-            // The rewiring neighbourhood, in ascending node-index order
-            // (the linear filter's natural order; the index sorts to match).
+            // The rewiring neighbourhood with each hit's distance to the new
+            // position, in no particular order: nothing below depends on it.
             if self.use_index {
                 self.index.within_radius(new_position, self.config.rewire_radius, neighbours);
             } else {
                 neighbours.clear();
-                neighbours.extend(
-                    nodes
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, node)| {
-                            node.position.distance(new_position) <= self.config.rewire_radius
-                        })
-                        .map(|(index, _)| index),
-                );
+                neighbours.extend(nodes.iter().enumerate().filter_map(|(index, node)| {
+                    let distance = node.position.distance(new_position);
+                    (distance <= self.config.rewire_radius).then_some((index, distance))
+                }));
             }
 
             // Choose the best parent within the rewiring radius; the
-            // steering node is chained in only when it lies *outside* the
-            // radius (when inside it is already in `neighbours`, and
-            // re-marching `segment_free` for it would double the most
-            // expensive query of the loop for no behavioural difference —
-            // the strict `<` keeps the first evaluation's result).
-            // Try candidates cheapest first by `(prospective cost, sequence
-            // position)` and take the first with a collision-free segment:
-            // that candidate minimises the key over the free candidates,
-            // which is exactly what a full scan keeping the strict-`<`
-            // minimum returns — but the expensive `segment_free` march runs
-            // only until the winner is found instead of once per candidate.
-            // The winner is almost always the cheapest candidate, so picking
-            // the minimum on demand beats sorting all ~50 of them.
-            let nearest_unlisted = neighbours.binary_search(&nearest_index).is_err();
-            self.parent_candidates.clear();
-            self.neighbour_distances.clear();
-            let neighbour_distances = &mut self.neighbour_distances;
-            self.parent_candidates.extend(
-                neighbours
-                    .iter()
-                    .copied()
-                    .chain(nearest_unlisted.then_some(nearest_index))
-                    .enumerate()
-                    .map(|(sequence, candidate)| {
-                        let parent = &nodes[candidate];
-                        let distance = parent.position.distance(new_position);
-                        neighbour_distances.push(distance);
-                        (parent.cost + distance, sequence as u32)
-                    }),
-            );
-            let mut best_parent = None;
-            let mut best_cost = f64::INFINITY;
-            while let Some((cost, sequence)) = take_cheapest(&mut self.parent_candidates) {
-                let candidate = neighbours.get(sequence as usize).copied().unwrap_or(nearest_index);
-                if model.segment_free(nodes[candidate].position, new_position, self.config.margin) {
-                    best_parent = Some(candidate);
-                    best_cost = cost;
-                    break;
-                }
+            // steering node is a candidate too, keyed last, but only when it
+            // lies *outside* the radius (when inside it is already in
+            // `neighbours`, and re-marching `segment_free` for it would
+            // double the most expensive query of the loop for no behavioural
+            // difference — the strict `<` keeps the first evaluation's
+            // result).  `first_free` tries candidates cheapest first by
+            // `(prospective cost, node index)` and stops at the first with a
+            // collision-free segment: the minimum key over the free
+            // candidates, exactly what a full scan keeping the strict-`<`
+            // minimum returns, but the expensive march runs only until the
+            // winner is found.  Each neighbour's cost is read once, here;
+            // the rewire pass prefilters on these values.
+            self.pre_costs.clear();
+            let candidates = &mut self.parent_candidates;
+            candidates.clear();
+            let mut nearest_unlisted = true;
+            for &(neighbour, distance) in neighbours.iter() {
+                debug_assert!(neighbour < UNLISTED as usize, "node indices fit below the key");
+                let cost = nodes[neighbour].cost;
+                self.pre_costs.push(cost);
+                nearest_unlisted &= neighbour != nearest_index;
+                candidates.push((cost + distance, neighbour as u32));
             }
-            let Some(parent_index) = best_parent else { continue };
+            if nearest_unlisted {
+                let parent = &nodes[nearest_index];
+                candidates.push((parent.cost + parent.position.distance(new_position), UNLISTED));
+            }
+            let node_of = |key: u32| if key == UNLISTED { nearest_index } else { key as usize };
+            let Some((best_cost, parent_key)) = candidates.first_free(|key| {
+                model.segment_free(nodes[node_of(key)].position, new_position, self.config.margin)
+            }) else {
+                continue;
+            };
+            let parent_index = node_of(parent_key);
             nodes.push(StarNode {
                 position: new_position,
                 parent: Some(parent_index),
@@ -369,12 +409,28 @@ impl MotionPlanner for RrtStar {
             // cheaper edge, and stale descendant costs would corrupt every
             // later best-parent choice, rewire decision and the final goal
             // selection.
-            // Ascending neighbour order, matching the pre-index linear scan:
-            // a rewire's propagation can lower a *later* neighbour's cost
-            // mid-loop, so iteration order is observable.  Costs are read
-            // fresh for the same reason; only the distances are cached.
-            for (position, &neighbour) in neighbours.iter().enumerate() {
-                let through_new = best_cost + self.neighbour_distances[position];
+            // Order is observable (a rewire's propagation can lower a later
+            // neighbour's cost mid-loop), so the test below runs in
+            // ascending node order on fresh costs, exactly like a scan over
+            // every neighbour.  Only neighbours that pass it on the
+            // pre-loop costs are ordered and tested, which skips nothing
+            // that scan would rewire: during the loop costs only fall — a
+            // rewire lowers one cost, and propagation re-derives each
+            // descendant as `parent.cost + edge` from a lower parent cost,
+            // which float rounding cannot raise — so a neighbour failing
+            // `through_new + 1e-9 < cost` before the loop fails it at its
+            // turn too.  The survivors meet the same state, in the same
+            // relative order, as they would in the full scan.
+            let survivors = &mut self.rewire_survivors;
+            survivors.clear();
+            survivors.extend(neighbours.iter().zip(&self.pre_costs).filter_map(
+                |(&(neighbour, distance), &pre_cost)| {
+                    (best_cost + distance + 1e-9 < pre_cost).then_some((neighbour, distance))
+                },
+            ));
+            survivors.sort_unstable_by_key(|&(neighbour, _)| neighbour);
+            for &(neighbour, distance) in survivors.iter() {
+                let through_new = best_cost + distance;
                 if through_new + 1e-9 < nodes[neighbour].cost
                     && model.segment_free(
                         new_position,
@@ -414,9 +470,26 @@ impl MotionPlanner for RrtStar {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+
     use super::*;
+    use crate::perception::occupancy::OccupancyGrid;
     use crate::planning::rrt::Rrt;
-    use mavfi_sim::env::EnvironmentKind;
+    use mavfi_sim::env::{Environment, EnvironmentKind};
+
+    /// A non-finite start is no path, not a straight line through a wall.
+    #[test]
+    fn a_non_finite_start_plans_nothing() {
+        let mut grid = OccupancyGrid::new(0.5);
+        grid.insert_point(Vec3::new(5.0, 0.0, 0.0));
+        let bounds = mavfi_sim::geometry::Aabb::new(Vec3::splat(-10.0), Vec3::splat(20.0));
+        let mut planner = RrtStar::new(PlannerConfig::for_bounds(bounds));
+        let goal = Vec3::new(10.0, 0.0, 0.0);
+        for start in [Vec3::new(f64::NAN, 0.0, 0.0), Vec3::new(0.0, 0.0, f64::INFINITY)] {
+            assert_eq!(planner.plan(&grid, start, goal), None, "{start:?}");
+        }
+        assert!(planner.plan(&grid, Vec3::ZERO, goal).is_some(), "a finite start still plans");
+    }
 
     #[test]
     fn plans_collision_free_paths() {
@@ -437,95 +510,314 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn indexed_and_linear_queries_plan_identical_paths() {
-        let mut trees_from_outside = 0;
-        for (kind, env_seed) in [
-            (EnvironmentKind::Sparse, 13_u64),
-            (EnvironmentKind::Farm, 2),
-            (EnvironmentKind::Dense, 8),
-        ] {
-            let env = kind.build(env_seed);
-            let config = PlannerConfig::for_bounds(env.bounds()).with_seed(6);
-            let mut indexed = RrtStar::new(config);
-            let mut linear = RrtStar::new(config);
-            linear.set_spatial_index_enabled(false);
-            // A start outside the sampling bounds: the index's region must
-            // grow to contain it, since the tree is rooted there.
-            let outside = Vec3::new(config.bounds.min.x - 1.0, env.start().y, env.start().z);
-            // Several plans per instance: later ones run over warm pooled
-            // buffers, a stepped RNG and a region of another size.
-            for (start, goal) in
-                [(env.start(), env.goal()), (env.goal(), env.start()), (outside, env.goal())]
-            {
-                assert_eq!(
-                    indexed.plan(&env, start, goal),
-                    linear.plan(&env, start, goal),
-                    "{} seed {env_seed} diverged from {start:?}",
-                    env.name()
-                );
-                if start == outside && indexed.nodes.len() > 1 {
-                    assert_eq!(indexed.nodes[0].position, outside, "the tree is rooted outside");
-                    trees_from_outside += 1;
-                }
-            }
-        }
-        assert!(trees_from_outside >= 2, "Sparse and Dense must search from the outside start");
-    }
-
-    /// The selection `take_cheapest` replaced: sort every candidate by
-    /// `(cost, sequence)` and take the first one whose segment is free.
+    /// The selection `ParentCandidates` replaced: sort every candidate by
+    /// `(cost, key)` and take the first one whose segment is free.
     fn sorted_selection(candidates: &[(f64, u32)], blocked: &[u32]) -> Option<(f64, u32)> {
         let mut sorted = candidates.to_vec();
         sorted.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        sorted.into_iter().find(|(_, sequence)| !blocked.contains(sequence))
+        sorted.into_iter().find(|(_, key)| !blocked.contains(key))
     }
 
     fn on_demand_selection(candidates: &[(f64, u32)], blocked: &[u32]) -> Option<(f64, u32)> {
-        let mut pool = candidates.to_vec();
-        while let Some(candidate) = take_cheapest(&mut pool) {
-            if !blocked.contains(&candidate.1) {
-                return Some(candidate);
-            }
+        let mut pool = ParentCandidates::default();
+        for &candidate in candidates {
+            pool.push(candidate);
         }
-        None
+        pool.first_free(|key| !blocked.contains(&key))
     }
 
     /// On-demand parent selection picks exactly the candidate the sorted
-    /// scan picked: with tied costs (sequence order breaks them), with the
-    /// cheapest few candidates blocked, and with every candidate blocked.
+    /// scan picked: with tied costs (node index breaks them, the unlisted
+    /// steering node last), with the cheapest few candidates blocked, and
+    /// with every candidate blocked.
     #[test]
     fn on_demand_parent_selection_matches_the_sorted_scan() {
         for length in [0_u32, 1, 2, 7, 51] {
-            // Costs from a small set, so most lists hold several ties.
-            let candidates: Vec<(f64, u32)> = (0..length)
-                .map(|sequence| {
-                    let cost = [4.5, 2.0, 7.25, 2.0, 3.0][(sequence as usize * 7 + 3) % 5];
-                    (cost + f64::from(sequence % 3) * 0.5, sequence)
+            // Node indices in scrambled order (radius hits come unordered),
+            // costs from a small set so most lists hold several ties, and
+            // the unlisted steering node tied with the first listed node.
+            let mut candidates: Vec<(f64, u32)> = (0..length)
+                .map(|i| {
+                    let cost = [4.5, 2.0, 7.25, 2.0, 3.0][(i as usize * 7 + 3) % 5];
+                    (cost + f64::from(i % 3) * 0.5, (i * 37 + 11) % 101)
                 })
                 .collect();
+            if let Some(&(cost, _)) = candidates.first() {
+                candidates.insert(length as usize / 2, (cost, UNLISTED));
+            }
             let mut order = candidates.clone();
             order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            // Block the k cheapest, for every k (k = length blocks all).
+            // Block the k cheapest, for every k (k = all blocks all).
             for blocked_count in 0..=order.len() {
                 let blocked: Vec<u32> =
-                    order[..blocked_count].iter().map(|&(_, sequence)| sequence).collect();
+                    order[..blocked_count].iter().map(|&(_, key)| key).collect();
                 let expected = sorted_selection(&candidates, &blocked);
                 assert_eq!(on_demand_selection(&candidates, &blocked), expected);
                 assert_eq!(expected.is_none(), blocked_count == order.len());
             }
-            // Block by sequence instead, hitting ties from both sides.
-            let blocked: Vec<u32> = (0..length).filter(|s| s % 4 != 3).collect();
+            // Block by key instead, hitting ties from both sides.
+            let blocked: Vec<u32> =
+                candidates.iter().map(|&(_, key)| key).filter(|key| key % 4 != 3).collect();
             assert_eq!(
                 on_demand_selection(&candidates, &blocked),
                 sorted_selection(&candidates, &blocked)
             );
             // Draining the pool yields the whole sorted order.
-            let mut pool = candidates.clone();
-            let drained: Vec<(f64, u32)> =
-                std::iter::from_fn(|| take_cheapest(&mut pool)).collect();
+            let mut pool = ParentCandidates::default();
+            for &candidate in &candidates {
+                pool.push(candidate);
+            }
+            let drained: Vec<(f64, u32)> = std::iter::from_fn(|| pool.take_cheapest()).collect();
             assert_eq!(drained, order);
         }
+    }
+
+    /// An obstacle model that logs every query — kind, argument bits and
+    /// answer — on its way to the wrapped model.
+    struct Recording<'a> {
+        model: &'a dyn ObstacleModel,
+        log: RefCell<Vec<[u64; 9]>>,
+    }
+
+    impl<'a> Recording<'a> {
+        fn new(model: &'a dyn ObstacleModel) -> Self {
+            Self { model, log: RefCell::new(Vec::new()) }
+        }
+
+        fn take(&self) -> Vec<[u64; 9]> {
+            std::mem::take(&mut self.log.borrow_mut())
+        }
+    }
+
+    impl ObstacleModel for Recording<'_> {
+        fn point_free(&self, point: Vec3, margin: f64) -> bool {
+            let free = self.model.point_free(point, margin);
+            let [x, y, z] = [point.x, point.y, point.z].map(f64::to_bits);
+            self.log.borrow_mut().push([0, x, y, z, 0, 0, 0, margin.to_bits(), u64::from(free)]);
+            free
+        }
+
+        fn segment_free(&self, a: Vec3, b: Vec3, margin: f64) -> bool {
+            let free = self.model.segment_free(a, b, margin);
+            let [ax, ay, az, bx, by, bz] = [a.x, a.y, a.z, b.x, b.y, b.z].map(f64::to_bits);
+            self.log.borrow_mut().push([
+                1,
+                ax,
+                ay,
+                az,
+                bx,
+                by,
+                bz,
+                margin.to_bits(),
+                u64::from(free),
+            ]);
+            free
+        }
+    }
+
+    /// A transcription of the RRT* loop before radius hits came unordered:
+    /// a linear neighbourhood in ascending node order, parents tried in a
+    /// full sort by `(cost, sequence position)` with the unlisted steering
+    /// node appended last, and a rewire scan over every neighbour in
+    /// ascending order on fresh costs.
+    struct ReferenceRrtStar {
+        config: PlannerConfig,
+        rng: StdRng,
+        nodes: Vec<StarNode>,
+    }
+
+    impl ReferenceRrtStar {
+        fn new(config: PlannerConfig) -> Self {
+            Self { config, rng: StdRng::seed_from_u64(config.seed), nodes: Vec::new() }
+        }
+
+        fn plan(
+            &mut self,
+            model: &dyn ObstacleModel,
+            start: Vec3,
+            goal: Vec3,
+        ) -> Option<PlannedPath> {
+            let config = self.config;
+            if !model.point_free(goal, config.margin) {
+                return None;
+            }
+            if model.segment_free(start, goal, config.margin) {
+                return Some(PlannedPath::new(vec![start, goal]));
+            }
+            let nodes = &mut self.nodes;
+            nodes.clear();
+            nodes.push(StarNode { position: start, parent: None, cost: 0.0 });
+            let mut children = ChildLinks::default();
+            children.push_node();
+            let mut worklist = Vec::new();
+            let mut goal_candidates = Vec::new();
+            for _ in 0..config.max_iterations {
+                let sample = sample_point(&mut self.rng, &config, goal);
+                let nearest = (0..nodes.len())
+                    .min_by(|&a, &b| {
+                        let (a, b) = (nodes[a].position, nodes[b].position);
+                        a.distance(sample).partial_cmp(&b.distance(sample)).expect("finite")
+                    })
+                    .expect("tree non-empty");
+                let new_position = steer(nodes[nearest].position, sample, config.step_size);
+                if !model.point_free(new_position, config.margin) {
+                    continue;
+                }
+                let neighbours: Vec<usize> = (0..nodes.len())
+                    .filter(|&i| nodes[i].position.distance(new_position) <= config.rewire_radius)
+                    .collect();
+                let unlisted = (!neighbours.contains(&nearest)).then_some(nearest);
+                let mut candidates: Vec<(f64, usize, usize)> = neighbours
+                    .iter()
+                    .copied()
+                    .chain(unlisted)
+                    .enumerate()
+                    .map(|(sequence, node)| {
+                        let parent = &nodes[node];
+                        (parent.cost + parent.position.distance(new_position), sequence, node)
+                    })
+                    .collect();
+                candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                let Some(&(best_cost, _, parent)) = candidates.iter().find(|&&(_, _, node)| {
+                    model.segment_free(nodes[node].position, new_position, config.margin)
+                }) else {
+                    continue;
+                };
+                nodes.push(StarNode {
+                    position: new_position,
+                    parent: Some(parent),
+                    cost: best_cost,
+                });
+                let new_index = nodes.len() - 1;
+                children.push_node();
+                children.link(new_index, parent);
+                for &neighbour in &neighbours {
+                    let through_new = best_cost + nodes[neighbour].position.distance(new_position);
+                    if through_new + 1e-9 < nodes[neighbour].cost
+                        && model.segment_free(
+                            new_position,
+                            nodes[neighbour].position,
+                            config.margin,
+                        )
+                    {
+                        let old_parent = nodes[neighbour].parent.expect("not the root");
+                        children.unlink(neighbour, old_parent);
+                        children.link(neighbour, new_index);
+                        nodes[neighbour].parent = Some(new_index);
+                        nodes[neighbour].cost = through_new;
+                        propagate_subtree_costs(nodes, &children, neighbour, &mut worklist);
+                    }
+                }
+                if new_position.distance(goal) <= config.goal_tolerance
+                    && model.segment_free(new_position, goal, config.margin)
+                {
+                    goal_candidates.push(new_index);
+                }
+            }
+            let (best, _) = select_best_goal(nodes, &goal_candidates, goal)?;
+            let mut waypoints = Vec::new();
+            trace_path_into(nodes, best, &mut waypoints);
+            waypoints.push(goal);
+            Some(PlannedPath::new(waypoints))
+        }
+    }
+
+    /// Every node's position, parent and cost, bit for bit.
+    fn tree_bits(nodes: &[StarNode]) -> Vec<([u64; 3], Option<usize>, u64)> {
+        nodes
+            .iter()
+            .map(|node| {
+                let p = node.position;
+                ([p.x, p.y, p.z].map(f64::to_bits), node.parent, node.cost.to_bits())
+            })
+            .collect()
+    }
+
+    /// Asserts two query logs are equal, naming the first differing query
+    /// rather than printing both logs.
+    fn assert_same_queries(actual: &[[u64; 9]], expected: &[[u64; 9]], what: &str) {
+        if let Some(at) = actual.iter().zip(expected).position(|(a, b)| a != b) {
+            panic!("{what}: query {at} differs: {:?} vs {:?}", actual[at], expected[at]);
+        }
+        assert_eq!(actual.len(), expected.len(), "{what}: query counts differ");
+    }
+
+    /// An occupancy grid holding a 0.5 m voxel lattice over every obstacle.
+    fn voxelized(env: &Environment) -> OccupancyGrid {
+        let mut grid = OccupancyGrid::new(0.5);
+        for obstacle in env.obstacles() {
+            let (min, max) = (obstacle.aabb.min, obstacle.aabb.max);
+            let steps = |lo: f64, hi: f64| {
+                (0..=((hi - lo) / 0.5).ceil() as usize).map(move |i| (lo + i as f64 * 0.5).min(hi))
+            };
+            for x in steps(min.x, max.x) {
+                for y in steps(min.y, max.y) {
+                    for z in steps(min.z, max.z) {
+                        grid.insert_point(Vec3::new(x, y, z));
+                    }
+                }
+            }
+        }
+        grid
+    }
+
+    /// RRT* with the index on and off issues exactly the reference loop's
+    /// `point_free`/`segment_free` queries, in the same order with the same
+    /// argument bits, and builds bit-identical trees and paths — on ground
+    /// truth and on an occupancy grid, over several plans per planner so
+    /// warm buffers, the stepped RNG and regions of other sizes are
+    /// covered.
+    #[test]
+    fn plans_match_the_reference_loop_query_for_query() {
+        let sparse = EnvironmentKind::Sparse.build(13);
+        let dense = EnvironmentKind::Dense.build(8);
+        let farm = EnvironmentKind::Farm.build(2);
+        let grid = voxelized(&sparse);
+        let instances: [(&str, &Environment, &dyn ObstacleModel); 4] = [
+            ("Sparse 13", &sparse, &sparse),
+            ("Dense 8", &dense, &dense),
+            ("Farm 2", &farm, &farm),
+            ("Sparse 13 voxelized", &sparse, &grid),
+        ];
+        let (mut trees_built, mut trees_from_outside) = (0, 0);
+        for ((name, env, model), rewire_radius) in instances.into_iter().flat_map(|instance| {
+            // The default radius (twice the step) always holds the steering
+            // node; a radius under one step often does not, so the unlisted
+            // steering node is a candidate too.
+            [(instance, None), (instance, Some(2.0))]
+        }) {
+            let mut config = PlannerConfig::for_bounds(env.bounds()).with_seed(6);
+            config.rewire_radius = rewire_radius.unwrap_or(config.rewire_radius);
+            let mut indexed = RrtStar::new(config);
+            let mut linear = RrtStar::new(config);
+            linear.set_spatial_index_enabled(false);
+            let mut reference = ReferenceRrtStar::new(config);
+            // A start outside the sampling bounds: the index's region must
+            // grow to contain it, since the tree is rooted there.
+            let outside = Vec3::new(config.bounds.min.x - 1.0, env.start().y, env.start().z);
+            for (start, goal) in
+                [(env.start(), env.goal()), (env.goal(), env.start()), (outside, env.goal())]
+            {
+                let recording = Recording::new(model);
+                let expected = reference.plan(&recording, start, goal);
+                let expected_queries = recording.take();
+                let expected_tree = tree_bits(&reference.nodes);
+                for (planner, label) in [(&mut indexed, "indexed"), (&mut linear, "linear")] {
+                    let path = planner.plan(&recording, start, goal);
+                    let what = format!("{name} r={} {label} from {start:?}", config.rewire_radius);
+                    assert_same_queries(&recording.take(), &expected_queries, &what);
+                    assert_eq!(tree_bits(&planner.nodes), expected_tree, "{what}: trees differ");
+                    assert_eq!(path, expected, "{what}: paths differ");
+                }
+                trees_built += usize::from(expected_tree.len() > 50);
+                if start == outside && expected_tree.len() > 1 {
+                    assert_eq!(indexed.nodes[0].position, outside, "the tree is rooted outside");
+                    trees_from_outside += 1;
+                }
+            }
+        }
+        assert!(trees_built >= 12, "most plans must search a real tree, got {trees_built}");
+        assert!(trees_from_outside >= 4, "trees must grow from the outside start");
     }
 
     /// Regression for the stale-cost rewiring bug: a hand-built tree where

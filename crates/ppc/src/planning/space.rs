@@ -13,7 +13,8 @@ use crate::perception::occupancy::OccupancyGrid;
 ///
 /// During missions the planners query the incrementally built
 /// [`OccupancyGrid`]; tests and oracles may plan directly against the ground
-/// truth [`Environment`].
+/// truth [`Environment`].  Both answer `false` for a non-finite point or
+/// segment endpoint: a planner must never route through one.
 pub trait ObstacleModel {
     /// Returns `true` if `point`, inflated by `margin`, is collision free.
     fn point_free(&self, point: Vec3, margin: f64) -> bool;
@@ -25,7 +26,9 @@ pub trait ObstacleModel {
 
 impl ObstacleModel for OccupancyGrid {
     fn point_free(&self, point: Vec3, margin: f64) -> bool {
-        !self.is_occupied_near(point, margin)
+        // `is_occupied_near` itself stays `false` for a non-finite point:
+        // the collision checker probes fault-corrupted way-points with it.
+        point.is_finite() && !self.is_occupied_near(point, margin)
     }
 
     fn segment_free(&self, a: Vec3, b: Vec3, margin: f64) -> bool {
@@ -35,11 +38,11 @@ impl ObstacleModel for OccupancyGrid {
 
 impl ObstacleModel for Environment {
     fn point_free(&self, point: Vec3, margin: f64) -> bool {
-        self.is_free(point, margin)
+        point.is_finite() && self.is_free(point, margin)
     }
 
     fn segment_free(&self, a: Vec3, b: Vec3, margin: f64) -> bool {
-        self.segment_clear(a, b, margin)
+        a.is_finite() && b.is_finite() && self.segment_clear(a, b, margin)
     }
 }
 
@@ -236,6 +239,25 @@ mod tests {
         assert!(ObstacleModel::point_free(&grid, a, 0.5));
         assert!(ObstacleModel::segment_free(&grid, a, b, 0.5));
         assert!(env.is_free(a, 0.5) == ObstacleModel::point_free(&env, a, 0.5));
+    }
+
+    /// Neither model calls a non-finite point or segment free, even where
+    /// its geometric test would (`is_occupied_near` answers `false` for any
+    /// non-finite point, and Dense 3's start-to-goal segment is blocked).
+    #[test]
+    fn non_finite_queries_are_never_free() {
+        let nan = Vec3::new(f64::NAN, 0.0, 0.0);
+        let mut grid = OccupancyGrid::new(0.5);
+        grid.insert_point(Vec3::new(5.0, 0.0, 0.0));
+        assert!(!ObstacleModel::point_free(&grid, nan, 0.7));
+        assert!(!ObstacleModel::segment_free(&grid, nan, Vec3::new(10.0, 0.0, 0.0), 0.7));
+        let env = EnvironmentKind::Dense.build(3);
+        assert!(!ObstacleModel::segment_free(&env, env.start(), env.goal(), 0.7));
+        for bad in [nan, Vec3::new(0.0, f64::INFINITY, 0.0)] {
+            assert!(!ObstacleModel::point_free(&env, bad, 0.7));
+            assert!(!ObstacleModel::segment_free(&env, bad, env.goal(), 0.7));
+            assert!(!ObstacleModel::segment_free(&env, env.start(), bad, 0.7));
+        }
     }
 
     #[test]

@@ -25,15 +25,25 @@ fn linear_nearest(points: &[Vec3], query: Vec3) -> usize {
         .expect("non-empty")
 }
 
-/// The linear neighbourhood filter RRT* used: inclusive radius comparison,
-/// ascending index order.
-fn linear_within(points: &[Vec3], query: Vec3, radius: f64) -> Vec<usize> {
+/// The linear neighbourhood filter RRT* uses with the index off: inclusive
+/// radius comparison, ascending index order, each hit with the bits of its
+/// distance.
+fn linear_within(points: &[Vec3], query: Vec3, radius: f64) -> Vec<(usize, u64)> {
     points
         .iter()
         .enumerate()
         .filter(|(_, point)| point.distance(query) <= radius)
-        .map(|(index, _)| index)
+        .map(|(index, point)| (index, point.distance(query).to_bits()))
         .collect()
+}
+
+/// A `within_radius` answer (unordered) in the linear filter's shape:
+/// sorted by index, distances as bits.
+fn sorted_hits(hits: &[(usize, f64)]) -> Vec<(usize, u64)> {
+    let mut sorted: Vec<(usize, u64)> =
+        hits.iter().map(|&(index, distance)| (index, distance.to_bits())).collect();
+    sorted.sort_unstable();
+    sorted
 }
 
 /// Deterministic point inside a cube of half-extent `scale`; every ~8th
@@ -98,8 +108,8 @@ proptest! {
                     let radius = rng.gen_range(0.0..scale * 0.4);
                     index.within_radius(query, radius, &mut out);
                     prop_assert_eq!(
-                        &out,
-                        &linear_within(&points, query, radius),
+                        sorted_hits(&out),
+                        linear_within(&points, query, radius),
                         "radius query diverged (round {}, step {}, r {})",
                         round,
                         step,

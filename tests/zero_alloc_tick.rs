@@ -467,7 +467,7 @@ fn warm_nn_index_cycle_allocates_nothing() {
         Vec3::new((t * 0.713).sin() * 20.0, (t * 0.292).cos() * 20.0, (t * 0.177).sin() * 6.0)
     }
 
-    fn run_cycle(index: &mut NnIndex, out: &mut Vec<usize>) -> usize {
+    fn run_cycle(index: &mut NnIndex, out: &mut Vec<(usize, f64)>) -> usize {
         // The region leaves every point with x < -10 outside the cell
         // table, so the overflow chain is filled and scanned too.
         index.reset(1.5, Aabb::new(Vec3::new(-10.0, -20.0, -6.0), Vec3::new(20.0, 20.0, 6.0)));
