@@ -2,10 +2,7 @@
 //! Gaussian range checks and the autoencoder forward pass.  These are the
 //! per-tick costs behind the Table II overhead percentages.
 
-use std::time::Instant;
-
 use criterion::{criterion_group, criterion_main, Criterion};
-use mavfi_bench::bench_log;
 use mavfi_detect::prelude::*;
 use mavfi_nn::train::TrainConfig;
 use mavfi_ppc::states::{MonitoredStates, StateField};
@@ -32,44 +29,10 @@ fn trained_parts() -> (GadBank, AadDetector) {
     (gad, aad)
 }
 
-/// Times the AAD reconstruction-error score — the per-tick detection cost —
-/// and logs ns/score to `BENCH_4.json`: both the allocating compat path
-/// (`aad_score`, comparable with pre-refactor baselines) and the
-/// scratch-buffer path the detector tap actually runs every tick
-/// (`aad_score_scratch`).
-fn measure_score_latency(aad: &AadDetector, deltas: &[f64; MonitoredStates::DIM]) {
-    const ITERS: u32 = 20_000;
-    let time_it = |mut score: Box<dyn FnMut() -> f64>, metric: &str, note: &str| {
-        let mut sink = 0.0;
-        for _ in 0..ITERS / 10 {
-            sink += score();
-        }
-        let start = Instant::now();
-        for _ in 0..ITERS {
-            sink += score();
-        }
-        let nanos = start.elapsed().as_nanos() as f64 / f64::from(ITERS);
-        std::hint::black_box(sink);
-        bench_log::record("detector_micro", metric, nanos, "ns/score", &bench_log::note_or(note));
-    };
-    time_it(
-        Box::new(|| aad.score(std::hint::black_box(deltas))),
-        "aad_score",
-        "13-6-3-13 reconstruction error (allocating path)",
-    );
-    let mut scratch = AadScratch::new();
-    time_it(
-        Box::new(move || aad.score_with(std::hint::black_box(deltas), &mut scratch)),
-        "aad_score_scratch",
-        "13-6-3-13 reconstruction error (per-tick scratch path)",
-    );
-}
-
 fn bench(c: &mut Criterion) {
     let (mut gad, mut aad) = trained_parts();
     let mut preprocessor = Preprocessor::new();
     let deltas = preprocessor.process(&sample_states(0));
-    measure_score_latency(&aad, &deltas);
 
     c.bench_function("preprocess_one_tick", |b| {
         let mut preprocessor = Preprocessor::new();
@@ -82,7 +45,11 @@ fn bench(c: &mut Criterion) {
 
     c.bench_function("gad_observe_13_states", |b| b.iter(|| gad.observe_all(&deltas)));
 
-    c.bench_function("aad_forward_pass", |b| b.iter(|| aad.observe(&deltas)));
+    // The scratch path the detector tap runs every tick.
+    c.bench_function("aad_forward_pass", |b| {
+        let mut scratch = AadScratch::new();
+        b.iter(|| aad.observe_with(&deltas, &mut scratch))
+    });
 
     c.bench_function("magnitude_code", |b| {
         b.iter(|| magnitude_code(std::hint::black_box(123.456)))

@@ -5,8 +5,8 @@
 //! nodes lie within the rewiring radius of this new node?* (RRT*).  Both
 //! used to be O(n) scans over the whole tree, which made RRT* quadratic in
 //! its iteration budget — a major share (with collision checking) of the
-//! ~856 ms it spent per replan on a mission-observed Dense grid
-//! (`BENCH_5.json`; `BENCH_7.json` has the indexed-vs-linear numbers).
+//! ~856 ms it spent per replan on a mission-observed Dense grid (the
+//! indexed-vs-linear numbers are in `docs/PLANNERS.md`).
 //!
 //! [`NnIndex`] replaces the scans with a uniform grid over node positions:
 //! a node lives in the cell `floor(position / cell_size)` per axis (the

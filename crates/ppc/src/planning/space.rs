@@ -174,9 +174,9 @@ pub trait MotionPlanner {
     /// The index is on by default and **inert**: indexed queries are
     /// bit-identical to the O(n) linear scans they replace (same distances,
     /// same lowest-index tie-breaks), so toggling it never changes a planned
-    /// path — only how fast it is found.  Disabling it is the verification
-    /// knob used by the equivalence tests and the `replan_micro` bench's
-    /// indexed-vs-linear records.  Takes effect at the next `plan` /
+    /// path — only how fast it is found.  Disabling it gives the linear
+    /// reference the planner and `proptest_nn_index` equivalence tests
+    /// compare against.  Takes effect at the next `plan` /
     /// `plan_into` call.  Planners without such an index (A*) ignore it.
     fn set_spatial_index_enabled(&mut self, _enabled: bool) {}
 }

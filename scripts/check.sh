@@ -3,10 +3,11 @@
 # over the workspace and the separate perfbench/ workspace,
 # rustdoc (warnings are errors, including broken intra-doc links — the
 # `docs/` markdown pages are included into the `mavfi-suite` crate docs, so
-# the same gate covers them), smoke runs of the examples, the bench-log
-# gate, a short run of every benchmark workload on this tree (plus one
-# traced golden_replan run), and a relative-link existence check over the
-# repository's markdown documentation.
+# the same gate covers them), smoke runs of the examples, a short run of
+# every benchmark workload on this tree whose work counters must match the
+# committed baseline (plus one traced golden_replan run), and a
+# relative-link existence check over the repository's markdown
+# documentation.
 #
 # Usage: ./scripts/check.sh
 #
@@ -41,17 +42,16 @@ cargo run --release --offline -q --example retrace -- --verify >/dev/null
 echo "==> campaign server kill/resume smoke (campaign_server --smoke)"
 cargo run --release --offline -q --example campaign_server -- --smoke >/dev/null
 
-echo "==> bench log gate: BENCH_9.json -> BENCH_10.json (bench_compare)"
-./scripts/bench.sh --compare BENCH_9.json BENCH_10.json >/dev/null
-
-echo "==> benchmark on this tree: every perfbench workload, 2 s, output checks pass"
+echo "==> benchmark on this tree: every perfbench workload, 2 s, output checks pass, counters match tests/bench_counters"
 # Each workload checks its own outputs (served results against the library
 # CampaignExecutor::run_campaign byte for byte, the traced loop against
 # MissionRunner::run)
-# and reports them in the JSON object on its last line.
+# and reports them in the JSON object on its last line.  Its deterministic
+# work counters must then equal the committed baseline.
 for workload in golden_replan farm_protected served_campaigns; do
-  result=$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
-             --workload "$workload" --seconds 2 --trace 0 | tail -n 1)
+  output=$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+             --workload "$workload" --seconds 2 --trace 0)
+  result=$(tail -n 1 <<<"$output")
   case "$result" in
     *'"correct": true'*) ;;
     *)
@@ -59,6 +59,7 @@ for workload in golden_replan farm_protected served_campaigns; do
       exit 1
       ;;
   esac
+  ./scripts/bench_counters.sh --verify "$workload" <<<"$output"
 done
 
 echo "==> benchmark on this tree, traced: golden_replan, 2 s, ledger and traced loop check out"

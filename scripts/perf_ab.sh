@@ -33,11 +33,15 @@ seed="${5:-3}"
 
 base_sha=$(git rev-parse --verify "$base_rev^{commit}")
 base_dir=".bench_build/perf_ab-$base_sha"
-if [ ! -f "$base_dir/perfbench/Cargo.toml" ]; then
+if [ ! -d "$base_dir" ]; then
+  # Extract into a temporary directory and move it into place only once
+  # the export is complete, so an interrupted export is never reused.
   echo "==> exporting $base_rev ($base_sha) to $base_dir"
-  rm -rf "$base_dir"
-  mkdir -p "$base_dir"
-  git archive "$base_sha" | tar -x -C "$base_dir"
+  partial="$base_dir.partial"
+  rm -rf "$partial"
+  mkdir -p "$partial"
+  git archive "$base_sha" | tar -x -C "$partial"
+  mv "$partial" "$base_dir"
 fi
 
 echo "==> building perfbench (base, then change)"
